@@ -46,12 +46,12 @@
 //	wikimatch [-pair pt-en|zh-min-nan:en] [-type filme] [-scale small|full]
 //	          [-dumps dir]     ingest dumps (TTL/XML, .gz/.bz2) instead of generating
 //	          [-remote URL]    drive a running wikimatchd over protocol v1
-//	          [-tsim 0.6] [-tlsi 0.1] [-candidates K] [-exact-score] [-stream]
+//	          [-tsim 0.6] [-tlsi 0.1] [-candidates K] [-stream]
 //
 //	wikimatch matchall [-mode pivot|direct] [-hub LANG] [-workers N]
 //	          [-scale small|full] [-dumps dir] [-store out.wmsnap]
 //	          [-remote URL] [-timings=false]
-//	          [-clusters] [-tsim 0.6] [-tlsi 0.1] [-candidates K] [-exact-score]
+//	          [-clusters] [-tsim 0.6] [-tlsi 0.1] [-candidates K]
 //
 //	wikimatch audit [-mode pivot|direct] [-hub LANG] [-workers N]
 //	          [-pair pt-en] [-min-severity 0.5] [-limit 20]
@@ -111,7 +111,6 @@ func matchCmd(args []string, stdout, stderr io.Writer) int {
 	tsim := fs.Float64("tsim", 0.6, "certain-match threshold Tsim")
 	tlsi := fs.Float64("tlsi", 0.1, "correlation threshold TLSI")
 	candidates := fs.Int("candidates", 0, "pruned-scoring shortlist width (0 = default, -1 = exhaustive)")
-	exactScore := fs.Bool("exact-score", false, "force the exhaustive reference scoring path")
 	stream := fs.Bool("stream", false, "print per-type results as each type completes")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -122,7 +121,7 @@ func matchCmd(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	req := repro.MatchRequest{Pair: *pairFlag, Type: *typeFlag}
-	setMatchOverrides(fs, &req, tsim, tlsi, candidates, exactScore)
+	setMatchOverrides(fs, &req, tsim, tlsi, candidates)
 	if _, err := repro.ParseLanguagePair(*pairFlag); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -184,12 +183,11 @@ func matchCmd(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// setMatchOverrides attaches -tsim/-tlsi/-candidates/-exact-score as
-// per-request overrides only when the user actually passed the flag: an
-// untouched default must not silently override the configuration a
-// remote daemon was started with. candidates and exactScore may be nil
-// on subcommands that do not expose them.
-func setMatchOverrides(fs *flag.FlagSet, req *repro.MatchRequest, tsim, tlsi *float64, candidates *int, exactScore *bool) {
+// setMatchOverrides attaches -tsim/-tlsi/-candidates as per-request
+// overrides only when the user actually passed the flag: an untouched
+// default must not silently override the configuration a remote daemon
+// was started with.
+func setMatchOverrides(fs *flag.FlagSet, req *repro.MatchRequest, tsim, tlsi *float64, candidates *int) {
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "tsim":
@@ -198,8 +196,6 @@ func setMatchOverrides(fs *flag.FlagSet, req *repro.MatchRequest, tsim, tlsi *fl
 			req.TLSI = tlsi
 		case "candidates":
 			req.Candidates = candidates
-		case "exact-score":
-			req.ExactScore = exactScore
 		}
 	})
 }
@@ -413,7 +409,6 @@ func matchallCmd(args []string, stdout, stderr io.Writer) int {
 	tsim := fs.Float64("tsim", 0.6, "certain-match threshold Tsim")
 	tlsi := fs.Float64("tlsi", 0.1, "correlation threshold TLSI")
 	candidates := fs.Int("candidates", 0, "pruned-scoring shortlist width (0 = default, -1 = exhaustive)")
-	exactScore := fs.Bool("exact-score", false, "force the exhaustive reference scoring path")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -440,7 +435,7 @@ func matchallCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	req := repro.MatchRequest{All: true, Mode: *modeFlag, Hub: *hubFlag, Workers: *workers}
-	setMatchOverrides(fs, &req, tsim, tlsi, candidates, exactScore)
+	setMatchOverrides(fs, &req, tsim, tlsi, candidates)
 	lines, err := backend.Stream(context.Background(), req)
 	if err != nil {
 		fmt.Fprintln(stderr, "matchall:", err)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -116,6 +117,13 @@ func TestRemoteFlagValidation(t *testing.T) {
 	errBuf.Reset()
 	if code := matchCmd([]string{"-pair", "bogus"}, &out, &errBuf); code != 2 {
 		t.Errorf("bad pair exited %d, want 2", code)
+	}
+	// Exhaustive scoring is -candidates -1; there is no separate flag.
+	for name, cmd := range map[string]func([]string, io.Writer, io.Writer) int{"match": matchCmd, "matchall": matchallCmd} {
+		errBuf.Reset()
+		if code := cmd([]string{"-exact-score"}, &out, &errBuf); code != 2 || !strings.Contains(errBuf.String(), "flag provided but not defined: -exact-score") {
+			t.Errorf("%s -exact-score exited %d: %s", name, code, errBuf.String())
+		}
 	}
 }
 

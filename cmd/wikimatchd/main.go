@@ -1,11 +1,10 @@
 // Command wikimatchd serves WikiMatch over HTTP: it generates (or loads)
 // a multilingual corpus, opens one shared matching session, and exposes
 // matching, streaming and corpus inspection through wire protocol v1 —
-// typed POST JSON endpoints under /v1/ with structured error envelopes —
-// plus the legacy GET API as compatibility shims. The session's artifact
-// cache makes repeated requests cheap — the first match for a pair
-// builds the dictionary and the per-type LSI models, every later request
-// reuses them.
+// typed POST JSON endpoints under /v1/ with structured error envelopes.
+// The session's artifact cache makes repeated requests cheap — the first
+// match for a pair builds the dictionary and the per-type LSI models,
+// every later request reuses them.
 //
 // Every request runs through the middleware stack: request IDs, access
 // logging, a per-request timeout, a concurrency limiter that sheds
@@ -61,9 +60,9 @@
 //	GET  /v1/healthz      liveness: uptime, snapshot age, cache stats
 //	GET  /v1/metrics      middleware counters
 //
-// The legacy GET endpoints (/match, /match/{type}, /match/stream,
-// /matchall, /matchall/stream, /corpus/stats, /healthz, POST
-// /session/invalidate) remain as shims over the same handlers.
+// Every other path answers the structured not_found envelope; that
+// includes the retired pre-v1 GET routes (/match, /matchall,
+// /corpus/stats, ...), which the README maps to their v1 replacements.
 //
 // Try:
 //

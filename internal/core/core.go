@@ -59,14 +59,10 @@ type Config struct {
 	// exhaustively. Survivors are always rescored with the exact
 	// float64 pipeline, so the setting never changes match results —
 	// only how much provably irrelevant work is skipped. A match-time
-	// parameter, not an artifact-shaping one.
+	// parameter, not an artifact-shaping one. -1 is the exhaustive
+	// reference scorer the equivalence tests and the score benchmark
+	// compare the pruned path against.
 	Candidates int
-
-	// ExactScore forces the exhaustive reference scorer, bypassing the
-	// pruned path entirely — the validation escape hatch mirroring
-	// ExactSVD, and the baseline the equivalence tests and the score
-	// benchmark compare the pruned path against.
-	ExactScore bool
 }
 
 // DefaultConfig returns the configuration used throughout the paper's
@@ -459,7 +455,7 @@ func (m *Matcher) MatchTypeCtx(ctx context.Context, c *wiki.Corpus, pair wiki.La
 	// the exact LSI score, survivors are rescored exactly, and they are
 	// enumerated in the same lexicographic pair order, so even
 	// stable-sort tie order is preserved. Configurations the shortlist
-	// bound cannot serve (ablations, ExactScore, negative thresholds)
+	// bound cannot serve (ablations, negative Candidates or thresholds)
 	// take the exhaustive reference route below.
 	n := len(td.Attrs)
 	var queue []Candidate

@@ -31,11 +31,11 @@ const prunedAttrLimit = 1 << 15
 
 // usePruned reports whether the pruned path can serve cfg for a type
 // with n attributes. It cannot when the caller asked for the exhaustive
-// reference (ExactScore, negative Candidates), when LSI is ablated (the
-// queue is then not LSI-gated at all), or when TLSI is negative (every
-// pair enters the queue, so there is nothing to prune).
+// reference (negative Candidates), when LSI is ablated (the queue is
+// then not LSI-gated at all), or when TLSI is negative (every pair
+// enters the queue, so there is nothing to prune).
 func (cfg Config) usePruned(n int) bool {
-	return !cfg.ExactScore && cfg.Candidates >= 0 && !cfg.DisableLSI &&
+	return cfg.Candidates >= 0 && !cfg.DisableLSI &&
 		cfg.TLSI >= 0 && n > 0 && n < prunedAttrLimit
 }
 

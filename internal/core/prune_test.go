@@ -12,7 +12,7 @@ import (
 
 // exact returns cfg with the exhaustive reference path forced on.
 func exact(cfg Config) Config {
-	cfg.ExactScore = true
+	cfg.Candidates = -1
 	return cfg
 }
 

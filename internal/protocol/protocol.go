@@ -65,8 +65,6 @@ type MatchRequest struct {
 	// identical at any width, only the work to produce them changes, and
 	// cached artifacts are reused untouched.
 	Candidates *int `json:"candidates,omitempty"`
-	// ExactScore forces the exhaustive reference scoring path.
-	ExactScore *bool `json:"exactScore,omitempty"`
 }
 
 // Resolved is a validated MatchRequest with every field parsed into its
@@ -84,13 +82,12 @@ type Resolved struct {
 type Overrides struct {
 	TSim, TLSI, TEg *float64
 	Candidates      *int
-	ExactScore      *bool
 }
 
 // Empty reports whether no override is set.
 func (o Overrides) Empty() bool {
 	return o.TSim == nil && o.TLSI == nil && o.TEg == nil &&
-		o.Candidates == nil && o.ExactScore == nil
+		o.Candidates == nil
 }
 
 // Apply returns cfg with the overrides applied. Only matching
@@ -109,9 +106,6 @@ func (o Overrides) Apply(cfg core.Config) core.Config {
 	if o.Candidates != nil {
 		cfg.Candidates = *o.Candidates
 	}
-	if o.ExactScore != nil {
-		cfg.ExactScore = *o.ExactScore
-	}
 	return cfg
 }
 
@@ -120,7 +114,7 @@ func (o Overrides) Apply(cfg core.Config) core.Config {
 func (r MatchRequest) Validate() (Resolved, error) {
 	res := Resolved{All: r.All, Type: r.Type, Overrides: Overrides{
 		TSim: r.TSim, TLSI: r.TLSI, TEg: r.TEg,
-		Candidates: r.Candidates, ExactScore: r.ExactScore,
+		Candidates: r.Candidates,
 	}}
 	for _, th := range []struct {
 		name string

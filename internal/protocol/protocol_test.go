@@ -101,10 +101,10 @@ func TestValidate(t *testing.T) {
 		},
 		{
 			name: "scoring overrides pass through",
-			req:  MatchRequest{Candidates: i(4), ExactScore: func() *bool { b := true; return &b }()},
+			req:  MatchRequest{Candidates: i(4)},
 			check: func(t *testing.T, r Resolved) {
 				cfg := r.Overrides.Apply(core.DefaultConfig())
-				if cfg.Candidates != 4 || !cfg.ExactScore {
+				if cfg.Candidates != 4 {
 					t.Errorf("applied config = %+v", cfg)
 				}
 				if cfg.LSIRank != core.DefaultConfig().LSIRank || cfg.NoDictionary || cfg.ExactSVD {
@@ -156,6 +156,37 @@ func TestValidate(t *testing.T) {
 				t.Errorf("message = %q, want %q", pe.Message, c.wantErr)
 			}
 		})
+	}
+}
+
+// TestParsePair table-tests the pair parser.
+func TestParsePair(t *testing.T) {
+	cases := []struct {
+		in   string
+		want string
+		ok   bool
+	}{
+		{"pt-en", "pt-en", true},
+		{"vi-en", "vi-en", true},
+		{"vn-en", "vi-en", true},
+		{"de-fr", "de-fr", true},
+		{"", "", false},
+		{"pten", "", false},
+		{"PT-EN", "", false},
+		{"pt-", "", false},
+	}
+	for _, c := range cases {
+		pair, err := ParsePair(c.in)
+		if c.ok != (err == nil) {
+			t.Errorf("ParsePair(%q) err = %v, want ok=%v", c.in, err, c.ok)
+			continue
+		}
+		if c.ok && pair.String() != c.want {
+			t.Errorf("ParsePair(%q) = %s, want %s", c.in, pair, c.want)
+		}
+	}
+	if pair, err := ParsePair("vn-en"); err != nil || pair != wiki.VnEn {
+		t.Errorf("alias: %v, %v", pair, err)
 	}
 }
 

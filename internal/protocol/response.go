@@ -188,7 +188,7 @@ func (r InvalidateRequest) Validate() (wiki.Language, error) {
 // with the per-kind breakdown the artifact graph tracks: Pairs counts
 // dropped pair-level nodes (dictionary + alignment), Types dropped
 // type-level nodes (similarity workspace + LSI model); Dropped is
-// their sum. The legacy /session/invalidate shim renders only Dropped.
+// their sum.
 type InvalidateResponse struct {
 	Dropped int `json:"dropped"`
 	Pairs   int `json:"pairs"`

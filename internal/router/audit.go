@@ -157,8 +157,7 @@ func (rt *Router) handleAuditStream(w http.ResponseWriter, req *http.Request) {
 			emit(protocol.StreamLine{Error: protocol.FromErr(err)})
 		}
 	}()
-	service.WriteNDJSONStream(w, rt.streamTimeout, cancel, lines,
-		func(line protocol.StreamLine) (any, bool) { return line, true })
+	service.WriteNDJSONStream(w, rt.streamTimeout, cancel, lines)
 }
 
 // forwardAudit hands a clusters-bearing audit request to the first

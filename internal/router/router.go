@@ -164,7 +164,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/v1/invalidate", method(http.MethodPost, rt.handleInvalidate))
 	mux.HandleFunc("/v1/healthz", method(http.MethodGet, rt.handleHealthz))
 	mux.HandleFunc("/v1/metrics", method(http.MethodGet, rt.handleMetrics))
-	mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		service.WriteEnvelope(w, protocol.Errorf(protocol.CodeNotFound, "no such endpoint %s", r.URL.Path))
 	})
 	h, metrics := service.WrapMiddleware(mux, rt.handlerOpts...)
@@ -288,8 +288,7 @@ func (rt *Router) handleStream(w http.ResponseWriter, req *http.Request) {
 		fm := rt.fleetMatcher(mreq)
 		updates := multi.StreamPlan(ctx, fm, plan, rt.batchWorkers(r, plan))
 		lines := service.RelayAllStream(updates, fm.cacheTotals)
-		service.WriteNDJSONStream(w, rt.streamTimeout, cancel, lines,
-			func(line protocol.StreamLine) (any, bool) { return line, true })
+		service.WriteNDJSONStream(w, rt.streamTimeout, cancel, lines)
 		return
 	}
 	// Pair-scoped: relay the owning shard's stream verbatim.
@@ -317,8 +316,7 @@ func (rt *Router) handleStream(w http.ResponseWriter, req *http.Request) {
 			}
 		}
 	}()
-	service.WriteNDJSONStream(w, rt.streamTimeout, cancel, lines,
-		func(line protocol.StreamLine) (any, bool) { return line, true })
+	service.WriteNDJSONStream(w, rt.streamTimeout, cancel, lines)
 }
 
 // scatterGather runs one all-pairs batch across the fleet: the plan is

@@ -599,6 +599,17 @@ func TestRouterStatelessContract(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown endpoint: %d", resp.StatusCode)
 	}
+	// Paths outside /v1 get the same structured envelope a replica sends.
+	resp, err = http.Get(f.rtSrv.URL + "/match?pair=pt-en")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env protocol.ErrorEnvelope
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusNotFound || env.Error == nil || env.Error.Code != protocol.CodeNotFound {
+		t.Errorf("retired route via router: %d %+v (%v)", resp.StatusCode, env.Error, err)
+	}
 	status, _ = post(t, f.rtSrv.URL+"/v1/stream", `{"pair":"pt-en","type":"filme"}`)
 	if status != http.StatusBadRequest {
 		t.Errorf("single-type stream via router: %d", status)

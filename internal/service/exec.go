@@ -12,10 +12,10 @@ import (
 
 // The typed execution path of protocol v1. ServeMatch, ServeMatchAll
 // and ServeStream are the one implementation behind the HTTP handlers,
-// the legacy GET shims, the Go client's in-process backend and the CLI:
-// every entrypoint builds a protocol.MatchRequest and funnels it
-// through here, so validation, threshold overrides and response
-// assembly cannot drift between surfaces.
+// the Go client's in-process backend and the CLI: every entrypoint
+// builds a protocol.MatchRequest and funnels it through here, so
+// validation, threshold overrides and response assembly cannot drift
+// between surfaces.
 
 // ServeMatch answers a pair or single-type MatchRequest. All-pairs
 // requests are rejected — they belong to ServeMatchAll.
@@ -181,7 +181,7 @@ func RelayAllStream(updates <-chan multi.Update, cache func() protocol.CacheStat
 }
 
 // Stats snapshots the corpus, cache and configuration — the body of
-// GET /v1/corpus and the legacy /corpus/stats shim.
+// GET /v1/corpus.
 func (s *Session) Stats() protocol.StatsResponse {
 	return protocol.StatsResponse{
 		Corpus: s.Corpus().Stats(),

@@ -6,63 +6,53 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/protocol"
 )
 
-// Golden-file tests for every wikimatchd HTTP endpoint: each request's
-// response body is normalized (timings zeroed, NDJSON lines sorted into
-// a canonical order) and compared byte for byte against a recorded file
-// under testdata/golden/. Regenerate with:
+// The HTTP golden files under testdata/golden/ are recorded by
+// TestV1Golden. Regenerate them with:
 //
-//	go test ./internal/service -run TestHTTPGolden -update
+//	go test ./internal/service -run TestV1Golden -update
 var updateGolden = flag.Bool("update", false, "rewrite the golden files from live responses")
 
-// goldenCase drives one recorded request. Every case runs against a
-// fresh session so cache counters in the response are deterministic.
-type goldenCase struct {
-	name       string
-	method     string
-	path       string
-	wantStatus int
-	ndjson     bool
-}
-
-func goldenCases() []goldenCase {
-	return []goldenCase{
-		{name: "corpus_stats", method: http.MethodGet, path: "/corpus/stats", wantStatus: http.StatusOK},
-		{name: "match_pt_en", method: http.MethodGet, path: "/match?pair=pt-en", wantStatus: http.StatusOK},
-		{name: "match_vn_alias", method: http.MethodGet, path: "/match?pair=vn-en", wantStatus: http.StatusOK},
-		{name: "match_type_filme", method: http.MethodGet, path: "/match/filme?pair=pt-en", wantStatus: http.StatusOK},
-		{name: "match_stream_vi_en", method: http.MethodGet, path: "/match/stream?pair=vi-en", wantStatus: http.StatusOK, ndjson: true},
-		{name: "matchall_pivot", method: http.MethodGet, path: "/matchall?mode=pivot", wantStatus: http.StatusOK},
-		{name: "matchall_direct", method: http.MethodGet, path: "/matchall?mode=direct&workers=2", wantStatus: http.StatusOK},
-		{name: "matchall_stream", method: http.MethodGet, path: "/matchall/stream?mode=pivot&workers=1", wantStatus: http.StatusOK, ndjson: true},
-		{name: "invalidate_vi", method: http.MethodPost, path: "/session/invalidate?lang=vi", wantStatus: http.StatusOK},
-		{name: "error_bad_pair", method: http.MethodGet, path: "/match?pair=bogus", wantStatus: http.StatusBadRequest},
-		{name: "error_unknown_type", method: http.MethodGet, path: "/match/no-such-type?pair=pt-en", wantStatus: http.StatusNotFound},
-		{name: "error_bad_mode", method: http.MethodGet, path: "/matchall?mode=sideways", wantStatus: http.StatusBadRequest},
-		{name: "error_bad_hub", method: http.MethodGet, path: "/matchall?hub=EN", wantStatus: http.StatusBadRequest},
-		{name: "error_bad_workers", method: http.MethodGet, path: "/matchall?workers=-1", wantStatus: http.StatusBadRequest},
-		{name: "error_bad_lang", method: http.MethodPost, path: "/session/invalidate?lang=UPPER", wantStatus: http.StatusBadRequest},
-	}
-}
-
+// TestHTTPGolden pins the retirement of the pre-v1 GET surface. Each
+// subtest replays one request the legacy goldens used to record; every
+// one now answers the structured not_found envelope naming its path,
+// like any unknown route (the retired_route case of TestV1Golden
+// records that body byte for byte). The README maps each retired path
+// to its v1 replacement.
 func TestHTTPGolden(t *testing.T) {
-	for _, gc := range goldenCases() {
-		t.Run(gc.name, func(t *testing.T) {
-			// Fresh session per case: response cache counters depend only
-			// on this one request.
-			srv := httptest.NewServer(NewHandler(New(smallCorpus(t))))
-			defer srv.Close()
-
-			req, err := http.NewRequest(gc.method, srv.URL+gc.path, nil)
+	srv := httptest.NewServer(NewHandler(New(smallCorpus(t))))
+	defer srv.Close()
+	get, post := http.MethodGet, http.MethodPost
+	for _, rc := range []struct{ name, method, path string }{
+		{"corpus_stats", get, "/corpus/stats"},
+		{"match_pt_en", get, "/match?pair=pt-en"},
+		{"match_vn_alias", get, "/match?pair=vn-en"},
+		{"match_type_filme", get, "/match/filme?pair=pt-en"},
+		{"match_stream_vi_en", get, "/match/stream?pair=vi-en"},
+		{"matchall_pivot", get, "/matchall?mode=pivot"},
+		{"matchall_direct", get, "/matchall?mode=direct&workers=2"},
+		{"matchall_stream", get, "/matchall/stream?mode=pivot&workers=1"},
+		{"invalidate_vi", post, "/session/invalidate?lang=vi"},
+		{"error_bad_pair", get, "/match?pair=bogus"},
+		{"error_unknown_type", get, "/match/no-such-type?pair=pt-en"},
+		{"error_bad_mode", get, "/matchall?mode=sideways"},
+		{"error_bad_hub", get, "/matchall?hub=EN"},
+		{"error_bad_workers", get, "/matchall?workers=-1"},
+		{"error_bad_lang", post, "/session/invalidate?lang=UPPER"},
+		{"healthz", get, "/healthz"},
+		{"invalidate_get", get, "/session/invalidate"},
+	} {
+		t.Run(rc.name, func(t *testing.T) {
+			req, err := http.NewRequest(rc.method, srv.URL+rc.path, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,38 +61,14 @@ func TestHTTPGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer resp.Body.Close()
-			if resp.StatusCode != gc.wantStatus {
-				t.Fatalf("%s %s: status %d, want %d", gc.method, gc.path, resp.StatusCode, gc.wantStatus)
+			var env protocol.ErrorEnvelope
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+				t.Fatalf("%s %s: body is not an envelope: %v", rc.method, rc.path, err)
 			}
-			body, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var normalized []byte
-			if gc.ndjson {
-				normalized = normalizeNDJSON(t, body)
-			} else {
-				normalized = normalizeJSON(t, body)
-			}
-
-			path := filepath.Join("testdata", "golden", gc.name+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, normalized, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to record): %v", err)
-			}
-			if !bytes.Equal(normalized, want) {
-				t.Errorf("response differs from %s\n--- got ---\n%s\n--- want ---\n%s",
-					path, clip(normalized), clip(want))
+			path, _, _ := strings.Cut(rc.path, "?")
+			want := protocol.Error{Code: protocol.CodeNotFound, Message: "no such endpoint " + path}
+			if resp.StatusCode != http.StatusNotFound || env.Error == nil || !reflect.DeepEqual(*env.Error, want) {
+				t.Errorf("%s %s: status %d, error %+v; want 404 %+v", rc.method, rc.path, resp.StatusCode, env.Error, want)
 			}
 		})
 	}
@@ -125,7 +91,9 @@ func normalizeJSON(t *testing.T, body []byte) []byte {
 }
 
 // normalizeNDJSON scrubs each line and sorts the lines canonically —
-// streams emit in completion order, which is scheduling-dependent.
+// streams emit in completion order, which is scheduling-dependent. The
+// per-line "done" counter is scrubbed for the same reason: it is a
+// completion-order position once workers run in parallel.
 func normalizeNDJSON(t *testing.T, body []byte) []byte {
 	t.Helper()
 	var lines []string
@@ -135,11 +103,14 @@ func normalizeNDJSON(t *testing.T, body []byte) []byte {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
 		}
-		var v any
+		var v map[string]any
 		if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
 			t.Fatalf("invalid NDJSON line: %v\n%s", err, sc.Text())
 		}
 		scrubVolatile(v)
+		if _, ok := v["done"]; ok {
+			v["done"] = 0.0
+		}
 		out, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
@@ -153,15 +124,14 @@ func normalizeNDJSON(t *testing.T, body []byte) []byte {
 	return []byte(strings.Join(lines, "\n") + "\n")
 }
 
-// ndjsonKey orders stream lines deterministically: final/cluster lines
-// last, pair/type progress lines by their identifying name. Handles
-// both the legacy line shapes and v1's StreamLine.
+// ndjsonKey orders stream lines deterministically: final lines last,
+// pair/finding/type progress lines by their identifying name.
 func ndjsonKey(line string) string {
 	var v map[string]any
 	if err := json.Unmarshal([]byte(line), &v); err != nil {
 		return "z" + line
 	}
-	for _, finalKey := range []string{"final", "finalMatch", "finalAll", "finalAudit"} {
+	for _, finalKey := range []string{"finalMatch", "finalAll", "finalAudit"} {
 		if _, ok := v[finalKey]; ok {
 			return "y:final"
 		}
@@ -174,9 +144,6 @@ func ndjsonKey(line string) string {
 	}
 	if tr, ok := v["type"].(map[string]any); ok {
 		return fmt.Sprintf("t:%v", tr["typeA"])
-	}
-	if ta, ok := v["typeA"].(string); ok {
-		return "t:" + ta
 	}
 	return "z" + line
 }

@@ -26,10 +26,9 @@ type serverState struct {
 }
 
 // NewHandler builds the wikimatchd HTTP API over one shared session:
-// the typed /v1/ protocol, the legacy GET shims riding on the same
-// execution path, and the middleware stack (request IDs, access log,
-// per-request timeouts, load shedding, panic recovery, metrics) around
-// both.
+// the typed /v1/ protocol and the middleware stack (request IDs, access
+// log, per-request timeouts, load shedding, panic recovery, metrics)
+// around it.
 //
 //	POST /v1/match         pair or single-type match, JSON in/out
 //	POST /v1/matchall      all-pairs batch with correspondence clusters
@@ -42,9 +41,8 @@ type serverState struct {
 //	GET  /v1/healthz       liveness: uptime, snapshot age, cache stats
 //	GET  /v1/metrics       middleware counters
 //
-// Legacy (pre-v1) endpoints — GET /match, /match/{type}, /match/stream,
-// /matchall, /matchall/stream, /corpus/stats, POST /session/invalidate
-// — remain as thin shims over the same handlers.
+// Every other path, the retired pre-v1 GET routes included, answers
+// the structured not_found envelope.
 func NewHandler(s *Session, opts ...HandlerOption) http.Handler {
 	cfg := DefaultHandlerConfig()
 	for _, opt := range opts {
@@ -54,7 +52,6 @@ func NewHandler(s *Session, opts ...HandlerOption) http.Handler {
 	st := &serverState{s: s, cfg: cfg, started: time.Now()}
 	mux := http.NewServeMux()
 	registerV1(mux, st)
-	registerShims(mux, st)
 	h, metrics := wrapMiddleware(mux, cfg)
 	st.metrics = metrics
 	return h
@@ -71,9 +68,9 @@ func registerV1(mux *http.ServeMux, st *serverState) {
 	mux.HandleFunc("/v1/invalidate", st.method(http.MethodPost, st.handleInvalidate))
 	mux.HandleFunc("/v1/healthz", st.method(http.MethodGet, st.handleHealthz))
 	mux.HandleFunc("/v1/metrics", st.method(http.MethodGet, st.handleMetrics))
-	// Unknown /v1/ routes get the structured envelope, not net/http's
+	// Unknown routes get the structured envelope, not net/http's
 	// plain-text 404.
-	mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		WriteEnvelope(w, protocol.Errorf(protocol.CodeNotFound, "no such endpoint %s", r.URL.Path))
 	})
 }
@@ -192,20 +189,11 @@ func (st *serverState) handleStream(w http.ResponseWriter, r *http.Request) {
 		WriteEnvelope(w, protocol.FromErr(err))
 		return
 	}
-	st.streamNDJSON(w, cancel, lines, func(line protocol.StreamLine) (any, bool) {
-		return line, true
-	})
+	WriteNDJSONStream(w, st.cfg.StreamWriteTimeout, cancel, lines)
 }
 
-// streamNDJSON applies the stack's configured write timeout to
-// WriteNDJSONStream.
-func (st *serverState) streamNDJSON(w http.ResponseWriter, cancel context.CancelFunc, lines <-chan protocol.StreamLine, translate func(protocol.StreamLine) (any, bool)) {
-	WriteNDJSONStream(w, st.cfg.StreamWriteTimeout, cancel, lines, translate)
-}
-
-// WriteNDJSONStream writes a line stream as NDJSON through a per-line
-// translation (identity for v1, the legacy shapes for the shims), with
-// the slow-reader guard applied: each line's write runs under a fresh
+// WriteNDJSONStream writes a line stream as NDJSON with the
+// slow-reader guard applied: each line's write runs under a fresh
 // deadline of writeTimeout (≤ 0 disables the guard) — armed immediately
 // before the write, so slow matching between lines never counts against
 // it — and a failed write cancels the producer and drains it so no
@@ -213,20 +201,16 @@ func (st *serverState) streamNDJSON(w http.ResponseWriter, cancel context.Cancel
 // deadline support (httptest recorders) just skip the guard. Exported
 // for the fleet router, whose streamed endpoints relay shard lines
 // through the same guard.
-func WriteNDJSONStream(w http.ResponseWriter, writeTimeout time.Duration, cancel context.CancelFunc, lines <-chan protocol.StreamLine, translate func(protocol.StreamLine) (any, bool)) {
+func WriteNDJSONStream(w http.ResponseWriter, writeTimeout time.Duration, cancel context.CancelFunc, lines <-chan protocol.StreamLine) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
 	for line := range lines {
-		out, ok := translate(line)
-		if !ok {
-			continue
-		}
 		if writeTimeout > 0 {
 			_ = rc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		}
-		if err := enc.Encode(out); err != nil {
+		if err := enc.Encode(line); err != nil {
 			cancel()
 			for range lines {
 			}
@@ -304,9 +288,7 @@ func (st *serverState) handleAuditStream(w http.ResponseWriter, r *http.Request)
 		WriteEnvelope(w, protocol.FromErr(err))
 		return
 	}
-	st.streamNDJSON(w, cancel, lines, func(line protocol.StreamLine) (any, bool) {
-		return line, true
-	})
+	WriteNDJSONStream(w, st.cfg.StreamWriteTimeout, cancel, lines)
 }
 
 // gateAudit enforces the shard-ownership gate on audit requests: a
@@ -361,12 +343,6 @@ func (st *serverState) handleDelta(w http.ResponseWriter, r *http.Request) {
 }
 
 func (st *serverState) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, st.health())
-}
-
-// health assembles the /v1/healthz body (shared with the legacy
-// /healthz shim).
-func (st *serverState) health() protocol.Health {
 	h := protocol.Health{
 		Status:        "ok",
 		UptimeSeconds: time.Since(st.started).Seconds(),
@@ -377,7 +353,7 @@ func (st *serverState) health() protocol.Health {
 		h.Snapshot.CreatedAt = at.UTC().Format(time.RFC3339Nano)
 		h.Snapshot.AgeSeconds = time.Since(at).Seconds()
 	}
-	return h
+	WriteJSON(w, http.StatusOK, h)
 }
 
 func (st *serverState) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -3,11 +3,12 @@ package service
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"repro/internal/protocol"
 	"repro/internal/text"
 )
 
@@ -38,15 +39,15 @@ func getJSON(t *testing.T, url string, wantStatus int, into any) {
 	}
 }
 
-// TestHTTPMatchEndToEnd drives /corpus/stats, /match, /match/{type} and
-// the NDJSON stream against a generated corpus through a real HTTP
-// round-trip.
+// TestHTTPMatchEndToEnd drives /v1/corpus, /v1/match (pair and single
+// type) and the NDJSON /v1/stream against a generated corpus through a
+// real HTTP round-trip.
 func TestHTTPMatchEndToEnd(t *testing.T) {
 	srv, _ := startServer(t)
 
 	// Corpus stats.
-	var stats StatsResponseJSON
-	getJSON(t, srv.URL+"/corpus/stats", http.StatusOK, &stats)
+	var stats protocol.StatsResponse
+	getJSON(t, srv.URL+"/v1/corpus", http.StatusOK, &stats)
 	if stats.Corpus.Articles["pt"] == 0 || stats.Corpus.Articles["en"] == 0 {
 		t.Fatalf("stats missing articles: %+v", stats.Corpus.Articles)
 	}
@@ -55,8 +56,10 @@ func TestHTTPMatchEndToEnd(t *testing.T) {
 	}
 
 	// Full match.
-	var match MatchResponseJSON
-	getJSON(t, srv.URL+"/match?pair=pt-en", http.StatusOK, &match)
+	var match protocol.MatchResponse
+	if got := postEnvelope(t, srv.URL+"/v1/match", `{"pair":"pt-en"}`, &match); got != http.StatusOK {
+		t.Fatalf("match: status %d", got)
+	}
 	if match.Pair != "pt-en" || len(match.Types) == 0 || len(match.Results) != len(match.Types) {
 		t.Fatalf("bad match response: pair=%s types=%d results=%d",
 			match.Pair, len(match.Types), len(match.Results))
@@ -76,29 +79,35 @@ func TestHTTPMatchEndToEnd(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("direção ~ directed by correspondence missing from /match output")
+		t.Error("direção ~ directed by correspondence missing from /v1/match output")
 	}
 	if match.Cache.TypeEntries == 0 {
 		t.Errorf("cache stats not populated: %+v", match.Cache)
 	}
 
 	// Warm repeat must hit the cache.
-	var warm MatchResponseJSON
-	getJSON(t, srv.URL+"/match?pair=pt-en", http.StatusOK, &warm)
+	var warm protocol.MatchResponse
+	if got := postEnvelope(t, srv.URL+"/v1/match", `{"pair":"pt-en"}`, &warm); got != http.StatusOK {
+		t.Fatalf("warm match: status %d", got)
+	}
 	if warm.Cache.Hits <= match.Cache.Hits {
-		t.Errorf("second /match did not hit the cache: %d → %d hits",
+		t.Errorf("second /v1/match did not hit the cache: %d → %d hits",
 			match.Cache.Hits, warm.Cache.Hits)
 	}
 
 	// Single type.
-	var one TypeResultJSON
-	getJSON(t, srv.URL+"/match/filme?pair=pt-en", http.StatusOK, &one)
-	if one.TypeA != "filme" || one.TypeB != "film" || len(one.Correspondences) == 0 {
-		t.Errorf("bad /match/filme response: %+v", one)
+	var one protocol.MatchResponse
+	if got := postEnvelope(t, srv.URL+"/v1/match", `{"pair":"pt-en","type":"filme"}`, &one); got != http.StatusOK {
+		t.Fatalf("single-type match: status %d", got)
+	}
+	if len(one.Results) != 1 || one.Results[0].TypeA != "filme" || one.Results[0].TypeB != "film" ||
+		len(one.Results[0].Correspondences) == 0 {
+		t.Errorf("bad single-type response: %+v", one.Results)
 	}
 
-	// NDJSON stream: one line per type, same types as the full match.
-	resp, err := http.Get(srv.URL + "/match/stream?pair=pt-en")
+	// NDJSON stream: one type line per type, same types as the full
+	// match, then the final summary.
+	resp, err := http.Post(srv.URL+"/v1/stream", "application/json", strings.NewReader(`{"pair":"pt-en"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,27 +116,35 @@ func TestHTTPMatchEndToEnd(t *testing.T) {
 		t.Errorf("stream Content-Type = %q", ct)
 	}
 	streamed := map[string]int{}
+	finals := 0
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		var line TypeResultJSON
+		var line protocol.StreamLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
-		if line.TypeA == "" {
-			t.Fatalf("NDJSON line without typeA: %q", sc.Text())
+		switch {
+		case line.Type != nil:
+			streamed[line.Type.TypeA] = len(line.Type.Correspondences)
+		case line.FinalMatch != nil:
+			finals++
+		default:
+			t.Fatalf("NDJSON line is neither a type nor the final summary: %q", sc.Text())
 		}
-		streamed[line.TypeA] = len(line.Correspondences)
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
+	}
+	if finals != 1 {
+		t.Errorf("stream carried %d final lines, want 1", finals)
 	}
 	if len(streamed) != len(match.Types) {
 		t.Fatalf("streamed %d types, want %d", len(streamed), len(match.Types))
 	}
 	for _, r := range match.Results {
 		if streamed[r.TypeA] != len(r.Correspondences) {
-			t.Errorf("type %s: stream has %d correspondences, /match has %d",
+			t.Errorf("type %s: stream has %d correspondences, /v1/match has %d",
 				r.TypeA, streamed[r.TypeA], len(r.Correspondences))
 		}
 	}
@@ -138,84 +155,49 @@ func TestHTTPMatchEndToEnd(t *testing.T) {
 func TestHTTPVnEnAndErrors(t *testing.T) {
 	srv, sess := startServer(t)
 
-	var match MatchResponseJSON
-	getJSON(t, srv.URL+"/match?pair=vi-en", http.StatusOK, &match)
+	var match protocol.MatchResponse
+	if got := postEnvelope(t, srv.URL+"/v1/match", `{"pair":"vi-en"}`, &match); got != http.StatusOK {
+		t.Fatalf("vi-en: status %d", got)
+	}
 	if match.Pair != "vi-en" || len(match.Types) == 0 {
 		t.Fatalf("bad vi-en response: %+v", match.Pair)
 	}
-	// The legacy alias resolves to the same pair.
-	var alias MatchResponseJSON
-	getJSON(t, srv.URL+"/match?pair=vn-en", http.StatusOK, &alias)
+	// The vn-en alias resolves to the same pair.
+	var alias protocol.MatchResponse
+	if got := postEnvelope(t, srv.URL+"/v1/match", `{"pair":"vn-en"}`, &alias); got != http.StatusOK {
+		t.Fatalf("vn-en: status %d", got)
+	}
 	if alias.Pair != "vi-en" {
 		t.Errorf("vn-en alias resolved to %q", alias.Pair)
 	}
 
-	getJSON(t, srv.URL+"/match?pair=bogus", http.StatusBadRequest, nil)
-	getJSON(t, srv.URL+"/match/definitely-not-a-type?pair=pt-en", http.StatusNotFound, nil)
+	if got := postEnvelope(t, srv.URL+"/v1/match", `{"pair":"bogus"}`, nil); got != http.StatusBadRequest {
+		t.Errorf("bogus pair: status %d, want 400", got)
+	}
+	// exactScore was folded into candidates: -1; the strict decoder
+	// rejects it like any unknown field.
+	if got := postEnvelope(t, srv.URL+"/v1/match", `{"pair":"pt-en","exactScore":true}`, nil); got != http.StatusBadRequest {
+		t.Errorf("retired exactScore field: status %d, want 400", got)
+	}
+	if got := postEnvelope(t, srv.URL+"/v1/match", `{"pair":"pt-en","type":"definitely-not-a-type"}`, nil); got != http.StatusNotFound {
+		t.Errorf("unknown type: status %d, want 404", got)
+	}
 
 	// Invalidate Vietnamese artifacts over the wire.
-	resp, err := http.Post(srv.URL+"/session/invalidate?lang=vi", "", nil)
-	if err != nil {
-		t.Fatal(err)
+	var inv protocol.InvalidateResponse
+	if got := postEnvelope(t, srv.URL+"/v1/invalidate", `{"lang":"vi"}`, &inv); got != http.StatusOK {
+		t.Fatalf("invalidate: status %d", got)
 	}
-	defer resp.Body.Close()
-	var body map[string]int
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if body["dropped"] == 0 {
+	if inv.Dropped == 0 {
 		t.Error("invalidate dropped nothing")
 	}
 	// The vi-en entries are gone; the pt-en pair entry (created by the
-	// /match/{type} lookup above) survives.
+	// single-type lookup above) survives.
 	if st := sess.CacheStats(); st.PairEntries != 1 {
 		t.Errorf("pair entries after Invalidate(vi) = %d, want 1: %+v", st.PairEntries, st)
 	}
 
-	resp2, err := http.Post(srv.URL+"/session/invalidate?lang=UPPER", "", nil)
-	if err != nil {
-		t.Fatal(err)
+	if got := postEnvelope(t, srv.URL+"/v1/invalidate", `{"lang":"UPPER"}`, nil); got != http.StatusBadRequest {
+		t.Errorf("invalid lang: status %d, want 400", got)
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("invalid lang: status %d, want 400", resp2.StatusCode)
-	}
-}
-
-// TestParsePair table-tests the pair parser.
-func TestParsePair(t *testing.T) {
-	cases := []struct {
-		in   string
-		want string
-		ok   bool
-	}{
-		{"pt-en", "pt-en", true},
-		{"vi-en", "vi-en", true},
-		{"vn-en", "vi-en", true},
-		{"de-fr", "de-fr", true},
-		{"", "", false},
-		{"pten", "", false},
-		{"PT-EN", "", false},
-		{"pt-", "", false},
-	}
-	for _, c := range cases {
-		pair, err := ParsePair(c.in)
-		if c.ok != (err == nil) {
-			t.Errorf("ParsePair(%q) err = %v, want ok=%v", c.in, err, c.ok)
-			continue
-		}
-		if c.ok && pair.String() != c.want {
-			t.Errorf("ParsePair(%q) = %s, want %s", c.in, pair, c.want)
-		}
-	}
-	if got := fmt.Sprint(must(ParsePair("vn-en"))); got != "vi-en" {
-		t.Errorf("alias: %s", got)
-	}
-}
-
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
 }

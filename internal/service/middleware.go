@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -195,22 +194,15 @@ func (m *serverMetrics) snapshot() protocol.Metrics {
 	return out
 }
 
-// routeLabel normalizes a request to a bounded metrics key: the
-// per-type legacy route collapses to one label and paths outside the
-// registered route set share an "other" bucket, so an URL-spraying
-// client cannot poison the per-route table. The maxRoutes cap remains
-// as a backstop. The set mirrors registerV1/registerShims.
+// routeLabel normalizes a request to a bounded metrics key: paths
+// outside the registered route set share an "other" bucket, so an
+// URL-spraying client cannot poison the per-route table. The maxRoutes
+// cap remains as a backstop. The set mirrors registerV1.
 func routeLabel(r *http.Request) string {
-	path := r.URL.Path
-	if strings.HasPrefix(path, "/match/") && path != "/match/stream" {
-		path = "/match/{type}"
-	}
-	switch path {
+	switch r.URL.Path {
 	case "/v1/match", "/v1/matchall", "/v1/stream", "/v1/audit", "/v1/audit/stream",
-		"/v1/corpus", "/v1/invalidate", "/v1/healthz", "/v1/metrics",
-		"/match", "/match/{type}", "/match/stream", "/matchall", "/matchall/stream",
-		"/corpus/stats", "/healthz", "/session/invalidate":
-		return r.Method + " " + path
+		"/v1/corpus", "/v1/invalidate", "/v1/healthz", "/v1/metrics":
+		return r.Method + " " + r.URL.Path
 	}
 	return "other"
 }
@@ -252,7 +244,7 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // an overloaded server still answers health checks.
 func controlPlanePath(path string) bool {
 	switch path {
-	case "/v1/healthz", "/v1/metrics", "/healthz":
+	case "/v1/healthz", "/v1/metrics":
 		return true
 	}
 	return false
@@ -262,7 +254,7 @@ func controlPlanePath(path string) bool {
 // per-request timeout and subject to the stream cap instead.
 func streamPath(path string) bool {
 	switch path {
-	case "/v1/stream", "/v1/audit/stream", "/match/stream", "/matchall/stream":
+	case "/v1/stream", "/v1/audit/stream":
 		return true
 	}
 	return false

@@ -52,12 +52,6 @@ func WithCandidates(k int) Option {
 	return func(c *core.Config) { c.Candidates = k }
 }
 
-// WithExactScore forces the exhaustive reference scoring path, the
-// validation switch for asserting pruning changes nothing.
-func WithExactScore(on bool) Option {
-	return func(c *core.Config) { c.ExactScore = on }
-}
-
 // WithoutDictionary disables dictionary translation inside vsim (the
 // paper's extra ablation); the session then skips building per-pair
 // dictionaries entirely.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/protocol"
 	"repro/internal/store"
 	"repro/internal/wiki"
 )
@@ -205,8 +206,8 @@ func TestRestoredStatsOverHTTP(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(restored))
 	defer srv.Close()
 
-	var stats StatsResponseJSON
-	getJSON(t, srv.URL+"/corpus/stats", http.StatusOK, &stats)
+	var stats protocol.StatsResponse
+	getJSON(t, srv.URL+"/v1/corpus", http.StatusOK, &stats)
 	if stats.Cache.RestoredPairs != 1 || stats.Cache.RestoredTypes == 0 {
 		t.Errorf("restored counters not exposed: %+v", stats.Cache)
 	}

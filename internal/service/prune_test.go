@@ -11,11 +11,9 @@ import (
 
 func intp(v int) *int { return &v }
 
-func boolp(v bool) *bool { return &v }
-
 // TestServeMatchScoringOverrides sends the same request through the
-// default (pruned) path, the exactScore override, and the
-// pruning-disabled candidates override, against one warm session. The
+// default (pruned) path and the candidates overrides, pruning-disabled
+// (exhaustive) included, against one warm session. The
 // responses must be byte-identical — the overrides change only how the
 // scores are computed — and every override run must hit the session's
 // artifact cache rather than rebuild.
@@ -44,10 +42,9 @@ func TestServeMatchScoringOverrides(t *testing.T) {
 	want := strip(warm)
 	for _, req := range []protocol.MatchRequest{
 		{Pair: "pt-en"},
-		{Pair: "pt-en", ExactScore: boolp(true)},
 		{Pair: "pt-en", Candidates: intp(-1)},
 		{Pair: "pt-en", Candidates: intp(1)},
-		{Pair: "pt-en", Candidates: intp(64), ExactScore: boolp(false)},
+		{Pair: "pt-en", Candidates: intp(64)},
 	} {
 		resp, err := s.ServeMatch(ctx, req)
 		if err != nil {
@@ -62,11 +59,11 @@ func TestServeMatchScoringOverrides(t *testing.T) {
 	}
 }
 
-// TestSessionScoringOptions checks the new functional options reach the
+// TestSessionScoringOptions checks the scoring option reaches the
 // matcher configuration.
 func TestSessionScoringOptions(t *testing.T) {
-	cfg := New(smallCorpus(t), WithCandidates(-1), WithExactScore(true)).Config()
-	if cfg.Candidates != -1 || !cfg.ExactScore {
+	cfg := New(smallCorpus(t), WithCandidates(-1)).Config()
+	if cfg.Candidates != -1 {
 		t.Errorf("options not applied: %+v", cfg)
 	}
 }
@@ -81,7 +78,7 @@ func TestServeMatchSingleTypeOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex, err := s.ServeMatch(ctx, protocol.MatchRequest{
-		Pair: wiki.PtEn.String(), Type: "filme", ExactScore: boolp(true),
+		Pair: wiki.PtEn.String(), Type: "filme", Candidates: intp(-1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,6 +88,6 @@ func TestServeMatchSingleTypeOverride(t *testing.T) {
 	a, _ := json.Marshal(pruned.Results)
 	b, _ := json.Marshal(ex.Results)
 	if string(a) != string(b) {
-		t.Fatal("single-type exactScore override changed the result")
+		t.Fatal("single-type exhaustive override changed the result")
 	}
 }

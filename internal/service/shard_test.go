@@ -164,23 +164,6 @@ func TestShardGate(t *testing.T) {
 		t.Fatalf("invalid pair envelope: %+v", env.Error)
 	}
 
-	// The legacy shims are gated with the same envelope.
-	resp, err := http.Get(srv.URL + "/match?pair=vn-en")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("legacy shim on unowned pair: status %d, want 503", resp.StatusCode)
-	}
-	env = protocol.ErrorEnvelope{}
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Error == nil || env.Error.Code != protocol.CodeUnavailable {
-		t.Fatalf("legacy shim envelope: %+v", env.Error)
-	}
-
 	// Control-plane and corpus endpoints stay open on a shard.
 	var health protocol.Health
 	getJSON(t, srv.URL+"/v1/healthz", http.StatusOK, &health)

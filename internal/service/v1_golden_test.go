@@ -1,15 +1,12 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -86,15 +83,14 @@ func v1GoldenCases() []v1GoldenCase {
 		// not_found (404).
 		{name: "v1_error_unknown_type", method: post, path: "/v1/match", body: `{"pair":"pt-en","type":"no-such-type"}`, wantStatus: 404},
 		{name: "v1_error_unknown_route", method: get, path: "/v1/nope", wantStatus: 404},
+		{name: "retired_route", method: get, path: "/match?pair=pt-en", wantStatus: 404},
 		{name: "v1_error_delta_remove_missing", method: post, path: "/v1/corpus/delta",
 			body: `{"removes":[{"lang":"pt","title":"Não Existe"}]}`, wantStatus: 404},
 		{name: "v1_error_audit_unknown_hub", method: post, path: "/v1/audit", body: `{"hub":"de"}`, wantStatus: 404},
 
-		// method_not_allowed (405) — including the mutating-over-GET fix
-		// on the legacy invalidate shim.
+		// method_not_allowed (405).
 		{name: "v1_error_method_match", method: get, path: "/v1/match", wantStatus: 405},
 		{name: "v1_error_method_corpus", method: post, path: "/v1/corpus", body: `{}`, wantStatus: 405},
-		{name: "legacy_invalidate_get", method: get, path: "/session/invalidate", wantStatus: 405},
 
 		// payload_too_large (413).
 		{
@@ -191,7 +187,7 @@ func TestV1Golden(t *testing.T) {
 
 			var normalized []byte
 			if gc.ndjson {
-				normalized = normalizeV1NDJSON(t, raw)
+				normalized = normalizeNDJSON(t, raw)
 			} else {
 				normalized = normalizeJSON(t, raw)
 			}
@@ -213,37 +209,4 @@ func TestV1Golden(t *testing.T) {
 			}
 		})
 	}
-}
-
-// normalizeV1NDJSON is normalizeNDJSON plus scrubbing of the per-line
-// "done" counter: v1 stream lines carry completion-order positions that
-// are scheduling-dependent once workers run in parallel.
-func normalizeV1NDJSON(t *testing.T, body []byte) []byte {
-	t.Helper()
-	var lines []string
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var v map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
-			t.Fatalf("invalid NDJSON line: %v\n%s", err, sc.Text())
-		}
-		scrubVolatile(v)
-		if _, ok := v["done"]; ok {
-			v["done"] = 0.0
-		}
-		out, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines = append(lines, string(out))
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(lines, func(i, j int) bool { return ndjsonKey(lines[i]) < ndjsonKey(lines[j]) })
-	return []byte(strings.Join(lines, "\n") + "\n")
 }

@@ -288,11 +288,9 @@ var (
 	// WithExactSVD forces the exact dense Jacobi SVD inside LSI.
 	WithExactSVD = service.WithExactSVD
 	// WithCandidates sets the pruned scoring path's shortlist width
-	// (0 = default, -1 disables pruning); results are identical at any
-	// width.
+	// (0 = default, -1 scores exhaustively); results are identical at
+	// any width.
 	WithCandidates = service.WithCandidates
-	// WithExactScore forces the exhaustive reference scoring path.
-	WithExactScore = service.WithExactScore
 	// WithoutDictionary disables dictionary translation inside vsim.
 	WithoutDictionary = service.WithoutDictionary
 )
@@ -535,10 +533,10 @@ var (
 
 // NewHTTPHandler builds the wikimatchd HTTP API over a session: the
 // typed /v1/ protocol (POST JSON + NDJSON streaming, structured
-// errors), the legacy GET endpoints as compatibility shims, and the
-// middleware stack (request IDs, access logging, per-request timeouts,
-// load shedding, panic recovery, /v1/metrics counters) around both. See
-// cmd/wikimatchd.
+// errors) and the middleware stack (request IDs, access logging,
+// per-request timeouts, load shedding, panic recovery, /v1/metrics
+// counters) around it. Any other path answers the not_found envelope.
+// See cmd/wikimatchd.
 func NewHTTPHandler(s *Session, opts ...HTTPHandlerOption) http.Handler {
 	return service.NewHandler(s, opts...)
 }
@@ -589,7 +587,7 @@ func ShardOwned(index, count int) func(LanguagePair) bool { return router.Owned(
 
 // ParseLanguagePair parses a "pt-en"-style pair string ("vn-en" is an
 // alias for Vietnamese–English).
-func ParseLanguagePair(s string) (LanguagePair, error) { return service.ParsePair(s) }
+func ParseLanguagePair(s string) (LanguagePair, error) { return protocol.ParsePair(s) }
 
 // MatchEntityTypes identifies equivalent entity types across a pair via
 // cross-language-link voting (Section 3.1).
