@@ -676,7 +676,7 @@ func measureScore() scoreTiming {
 	prunedCfg := core.DefaultConfig()
 	prunedCfg.DisableRevise = true
 	exCfg := prunedCfg
-	exCfg.Candidates = -1
+	exCfg.Exhaustive = true
 	mp := core.NewMatcher(prunedCfg)
 	me := core.NewMatcher(exCfg)
 	art, err := mp.BuildTypeArtifacts(ctx, c, wiki.PtEn, tps[0][0], tps[0][1], d)

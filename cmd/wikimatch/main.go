@@ -46,12 +46,12 @@
 //	wikimatch [-pair pt-en|zh-min-nan:en] [-type filme] [-scale small|full]
 //	          [-dumps dir]     ingest dumps (TTL/XML, .gz/.bz2) instead of generating
 //	          [-remote URL]    drive a running wikimatchd over protocol v1
-//	          [-tsim 0.6] [-tlsi 0.1] [-candidates K] [-stream]
+//	          [-tsim 0.6] [-tlsi 0.1] [-stream]
 //
 //	wikimatch matchall [-mode pivot|direct] [-hub LANG] [-workers N]
 //	          [-scale small|full] [-dumps dir] [-store out.wmsnap]
 //	          [-remote URL] [-timings=false]
-//	          [-clusters] [-tsim 0.6] [-tlsi 0.1] [-candidates K]
+//	          [-clusters] [-tsim 0.6] [-tlsi 0.1]
 //
 //	wikimatch audit [-mode pivot|direct] [-hub LANG] [-workers N]
 //	          [-pair pt-en] [-min-severity 0.5] [-limit 20]
@@ -110,7 +110,6 @@ func matchCmd(args []string, stdout, stderr io.Writer) int {
 	remote := fs.String("remote", "", "wikimatchd base URL; match there instead of in process")
 	tsim := fs.Float64("tsim", 0.6, "certain-match threshold Tsim")
 	tlsi := fs.Float64("tlsi", 0.1, "correlation threshold TLSI")
-	candidates := fs.Int("candidates", 0, "pruned-scoring shortlist width (0 = default, -1 = exhaustive)")
 	stream := fs.Bool("stream", false, "print per-type results as each type completes")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -121,7 +120,7 @@ func matchCmd(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	req := repro.MatchRequest{Pair: *pairFlag, Type: *typeFlag}
-	setMatchOverrides(fs, &req, tsim, tlsi, candidates)
+	setMatchOverrides(fs, &req, tsim, tlsi)
 	if _, err := repro.ParseLanguagePair(*pairFlag); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -183,19 +182,17 @@ func matchCmd(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// setMatchOverrides attaches -tsim/-tlsi/-candidates as per-request
+// setMatchOverrides attaches -tsim/-tlsi as per-request
 // overrides only when the user actually passed the flag: an untouched
 // default must not silently override the configuration a remote daemon
 // was started with.
-func setMatchOverrides(fs *flag.FlagSet, req *repro.MatchRequest, tsim, tlsi *float64, candidates *int) {
+func setMatchOverrides(fs *flag.FlagSet, req *repro.MatchRequest, tsim, tlsi *float64) {
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "tsim":
 			req.TSim = tsim
 		case "tlsi":
 			req.TLSI = tlsi
-		case "candidates":
-			req.Candidates = candidates
 		}
 	})
 }
@@ -408,7 +405,6 @@ func matchallCmd(args []string, stdout, stderr io.Writer) int {
 	timings := fs.Bool("timings", true, "print per-pair and total elapsed times")
 	tsim := fs.Float64("tsim", 0.6, "certain-match threshold Tsim")
 	tlsi := fs.Float64("tlsi", 0.1, "correlation threshold TLSI")
-	candidates := fs.Int("candidates", 0, "pruned-scoring shortlist width (0 = default, -1 = exhaustive)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -435,7 +431,7 @@ func matchallCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	req := repro.MatchRequest{All: true, Mode: *modeFlag, Hub: *hubFlag, Workers: *workers}
-	setMatchOverrides(fs, &req, tsim, tlsi, candidates)
+	setMatchOverrides(fs, &req, tsim, tlsi)
 	lines, err := backend.Stream(context.Background(), req)
 	if err != nil {
 		fmt.Fprintln(stderr, "matchall:", err)

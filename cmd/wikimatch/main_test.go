@@ -118,11 +118,14 @@ func TestRemoteFlagValidation(t *testing.T) {
 	if code := matchCmd([]string{"-pair", "bogus"}, &out, &errBuf); code != 2 {
 		t.Errorf("bad pair exited %d, want 2", code)
 	}
-	// Exhaustive scoring is -candidates -1; there is no separate flag.
+	// Exhaustive scoring is a core validation switch, not a CLI knob:
+	// the retired scoring flags are unknown on both subcommands.
 	for name, cmd := range map[string]func([]string, io.Writer, io.Writer) int{"match": matchCmd, "matchall": matchallCmd} {
-		errBuf.Reset()
-		if code := cmd([]string{"-exact-score"}, &out, &errBuf); code != 2 || !strings.Contains(errBuf.String(), "flag provided but not defined: -exact-score") {
-			t.Errorf("%s -exact-score exited %d: %s", name, code, errBuf.String())
+		for _, flag := range []string{"-exact-score", "-candidates"} {
+			errBuf.Reset()
+			if code := cmd([]string{flag}, &out, &errBuf); code != 2 || !strings.Contains(errBuf.String(), "flag provided but not defined: "+flag) {
+				t.Errorf("%s %s exited %d: %s", name, flag, code, errBuf.String())
+			}
 		}
 	}
 }

@@ -51,18 +51,11 @@ type Config struct {
 	// asserting the fast path changes no alignments.
 	ExactSVD bool
 
-	// Candidates is the per-attribute shortlist width of the pruned
-	// scoring path (prune.go): every pair whose quantized-LSI upper
-	// bound clears TLSI is rescored exactly, plus each attribute's
-	// Candidates best partners by quantized estimate. 0 selects
-	// DefaultCandidates; negative values disable pruning and score
-	// exhaustively. Survivors are always rescored with the exact
-	// float64 pipeline, so the setting never changes match results —
-	// only how much provably irrelevant work is skipped. A match-time
-	// parameter, not an artifact-shaping one. -1 is the exhaustive
-	// reference scorer the equivalence tests and the score benchmark
-	// compare the pruned path against.
-	Candidates int
+	// Exhaustive scores every attribute pair with the exact float64
+	// pipeline instead of the default pruned path (prune.go) — a
+	// validation switch for asserting pruning changes no alignments, and
+	// the reference the score benchmark measures the pruned path against.
+	Exhaustive bool
 }
 
 // DefaultConfig returns the configuration used throughout the paper's
@@ -237,9 +230,10 @@ type Result struct {
 	TypeList []string // pair.A-side type names, sorted
 }
 
-// TypeArtifacts carries the prebuilt inputs of one type alignment. Any
-// nil field is built from the corpus; a long-lived session injects cached
-// instances so repeated matches skip the expensive construction.
+// TypeArtifacts carries the prebuilt inputs of one type alignment, both
+// fields set. MatchTypeCtx builds them from the corpus when handed nil; a
+// long-lived session injects cached instances so repeated matches skip
+// the expensive construction.
 type TypeArtifacts struct {
 	TD  *sim.TypeData
 	LSI *lsi.Model
@@ -406,32 +400,18 @@ func (m *Matcher) BuildTypeArtifacts(ctx context.Context, c *wiki.Corpus, pair w
 
 // MatchTypeCtx is MatchType with cancellation and artifact injection: ctx
 // is checked during artifact construction and at every chunk boundary of
-// the pair-scoring stage, and art (when non-nil) supplies a prebuilt
-// TypeData and LSI model so the alignment skips straight to scoring.
+// the pair-scoring stage, and art (when non-nil) supplies the prebuilt
+// TypeData and LSI model so the alignment skips straight to scoring;
+// nil art is built with BuildTypeArtifacts.
 func (m *Matcher) MatchTypeCtx(ctx context.Context, c *wiki.Corpus, pair wiki.LanguagePair, typeA, typeB string, d *dict.Dictionary, art *TypeArtifacts) (*TypeResult, error) {
 	cfg := m.cfg
-	var td *sim.TypeData
-	var model *lsi.Model
-	if art != nil {
-		td, model = art.TD, art.LSI
-	}
-	if td == nil {
-		if cfg.NoDictionary {
-			d = nil
-		}
+	if art == nil {
 		var err error
-		if td, err = sim.BuildTypeDataCtx(ctx, c, pair, typeA, typeB, d); err != nil {
+		if art, err = m.BuildTypeArtifacts(ctx, c, pair, typeA, typeB, d); err != nil {
 			return nil, err
 		}
 	}
-	if model == nil {
-		var err error
-		model, err = lsi.BuildWithCtx(ctx, td.Duals, cfg.LSIRank,
-			lsi.Options{ExactSVD: cfg.ExactSVD}, td.Attrs...)
-		if err != nil {
-			return nil, err
-		}
-	}
+	td, model := art.TD, art.LSI
 	r := &TypeResult{TypeA: typeA, TypeB: typeB, TD: td, LSI: model}
 
 	vsim := func(i, j int) float64 {
@@ -448,28 +428,21 @@ func (m *Matcher) MatchTypeCtx(ctx context.Context, c *wiki.Corpus, pair wiki.La
 	}
 
 	// Score attribute pairs, within and across languages — the per-type
-	// hot path. The default route is the pruned path (prune.go): a
-	// quantized shortlist pass discards pairs whose LSI score provably
-	// cannot clear TLSI, and only survivors get exact scores. Its queue
-	// is identical to the exhaustive one — membership depends only on
-	// the exact LSI score, survivors are rescored exactly, and they are
-	// enumerated in the same lexicographic pair order, so even
-	// stable-sort tie order is preserved. Configurations the shortlist
-	// bound cannot serve (ablations, negative Candidates or thresholds)
-	// take the exhaustive reference route below.
+	// hot path. The default route is the pruned path (prune.go): a pass
+	// over certified upper bounds on the quantized LSI score keeps only
+	// the pairs that could clear TLSI, and only those get exact scores.
+	// Its queue is identical to the exhaustive one — membership depends
+	// only on the exact LSI score, survivors are rescored exactly, and
+	// they are enumerated in the same lexicographic pair order, so even
+	// stable-sort tie order is preserved. Configurations the bound
+	// cannot serve (ablated LSI, negative TLSI, or Exhaustive) take the
+	// exhaustive reference route below.
 	n := len(td.Attrs)
 	var queue []Candidate
-	var gate func(i, j int) bool
 	if cfg.usePruned(n) {
 		var err error
 		if queue, err = prunedQueue(ctx, td, model, cfg); err != nil {
 			return nil, err
-		}
-		// The integrate gate recomputes the exact LSI score on demand:
-		// Score is a pure function of the immutable model, so this equals
-		// the exhaustive path's precomputed matrix entry bit for bit.
-		gate = func(i, j int) bool {
-			return model.ScoreAttrs(td.Attrs[i], td.Attrs[j]) > cfg.TLSI
 		}
 	} else {
 		pairs := td.AllPairs()
@@ -488,25 +461,6 @@ func (m *Matcher) MatchTypeCtx(ctx context.Context, c *wiki.Corpus, pair wiki.La
 			return nil, err
 		}
 
-		lsiScore := make([][]float64, n)
-		for i := range lsiScore {
-			lsiScore[i] = make([]float64, n)
-		}
-		for idx, p := range pairs {
-			s := scores[idx].lsi
-			lsiScore[p[0]][p[1]], lsiScore[p[1]][p[0]] = s, s
-		}
-
-		// gate is the pairwise-correlation test of IntegrateMatches. When LSI
-		// is ablated it degrades to the same-language-co-occurrence veto that
-		// drives Example 2.
-		gate = func(i, j int) bool {
-			if cfg.DisableLSI {
-				return !(td.Attrs[i].Lang == td.Attrs[j].Lang && td.CoOccurLang(i, j) > 0)
-			}
-			return lsiScore[i][j] > cfg.TLSI
-		}
-
 		// Build the priority queue P.
 		for idx, p := range pairs {
 			cand := Candidate{I: p[0], J: p[1],
@@ -521,6 +475,18 @@ func (m *Matcher) MatchTypeCtx(ctx context.Context, c *wiki.Corpus, pair wiki.La
 				queue = append(queue, cand)
 			}
 		}
+	}
+
+	// gate is the pairwise-correlation test of IntegrateMatches, computed
+	// on demand: Score is a pure function of the immutable model, so it
+	// equals the queue's exact LSI value bit for bit. When LSI is ablated
+	// it degrades to the same-language-co-occurrence veto that drives
+	// Example 2.
+	gate := func(i, j int) bool {
+		if cfg.DisableLSI {
+			return !(td.Attrs[i].Lang == td.Attrs[j].Lang && td.CoOccurLang(i, j) > 0)
+		}
+		return model.ScoreAttrs(td.Attrs[i], td.Attrs[j]) > cfg.TLSI
 	}
 	switch {
 	case cfg.RandomOrder:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 // exact returns cfg with the exhaustive reference path forced on.
 func exact(cfg Config) Config {
-	cfg.Candidates = -1
+	cfg.Exhaustive = true
 	return cfg
 }
 
@@ -75,10 +76,10 @@ func TestPrunedMatchesExhaustiveSeeds(t *testing.T) {
 	}
 }
 
-// TestPrunedSweep quick-checks the equivalence across shortlist widths
-// and queue thresholds on one type, and asserts the shortlist itself
-// never drops a queue pair — in particular its recall of gold matches
-// that exhaustive scoring queues is exactly 1.0.
+// TestPrunedSweep quick-checks the equivalence across queue thresholds
+// on one type, and asserts the survivors never drop a queue pair — in
+// particular their recall of gold matches that exhaustive scoring
+// queues is exactly 1.0.
 func TestPrunedSweep(t *testing.T) {
 	c, truth := corpus(t)
 	pair := wiki.PtEn
@@ -103,65 +104,49 @@ func TestPrunedSweep(t *testing.T) {
 		t.Fatalf("BuildTypeArtifacts: %v", err)
 	}
 	sc := new(matchScratch)
-	for _, k := range []int{0, 1, 2, 4, 64} {
-		for _, tlsi := range []float64{0, 0.05, 0.1, 0.35, 0.7} {
-			cfg := DefaultConfig()
-			cfg.Candidates = k
-			cfg.TLSI = tlsi
-			if !cfg.usePruned(len(art.TD.Attrs)) {
-				t.Fatalf("k=%d tlsi=%v unexpectedly exhaustive", k, tlsi)
-			}
-			pruned, err := NewMatcher(cfg).MatchTypeCtx(ctx, c, pair, typeA, typeB, d, art)
-			if err != nil {
-				t.Fatalf("pruned MatchTypeCtx: %v", err)
-			}
-			ex, err := NewMatcher(exact(cfg)).MatchTypeCtx(ctx, c, pair, typeA, typeB, d, art)
-			if err != nil {
-				t.Fatalf("exhaustive MatchTypeCtx: %v", err)
-			}
-			label := "k=" + itoa(k) + " tlsi=" + ftoa(tlsi)
-			requireSameTypeResult(t, label, pruned, ex)
+	for _, tlsi := range []float64{0, 0.05, 0.1, 0.35, 0.7} {
+		cfg := DefaultConfig()
+		cfg.TLSI = tlsi
+		if !cfg.usePruned(len(art.TD.Attrs)) {
+			t.Fatalf("tlsi=%v unexpectedly exhaustive", tlsi)
+		}
+		pruned, err := NewMatcher(cfg).MatchTypeCtx(ctx, c, pair, typeA, typeB, d, art)
+		if err != nil {
+			t.Fatalf("pruned MatchTypeCtx: %v", err)
+		}
+		ex, err := NewMatcher(exact(cfg)).MatchTypeCtx(ctx, c, pair, typeA, typeB, d, art)
+		if err != nil {
+			t.Fatalf("exhaustive MatchTypeCtx: %v", err)
+		}
+		label := fmt.Sprintf("tlsi=%v", tlsi)
+		requireSameTypeResult(t, label, pruned, ex)
 
-			// The shortlist must contain every exhaustive queue pair.
-			if err := scorePrunedInto(ctx, art.TD, art.LSI, cfg, sc); err != nil {
-				t.Fatalf("scorePrunedInto: %v", err)
+		// The survivors must contain every exhaustive queue pair.
+		if err := scorePrunedInto(ctx, art.TD, art.LSI, cfg, sc); err != nil {
+			t.Fatalf("scorePrunedInto: %v", err)
+		}
+		survivors := make(map[uint32]bool, len(sc.surv))
+		for _, packed := range sc.surv {
+			survivors[packed] = true
+		}
+		goldQueued, goldKept := 0, 0
+		for _, cand := range ex.Candidates {
+			packed := uint32(cand.I)<<16 | uint32(cand.J)
+			if !survivors[packed] {
+				t.Fatalf("%s: queue pair (%d,%d) missing from survivors", label, cand.I, cand.J)
 			}
-			shortlist := make(map[uint32]bool, len(sc.surv))
-			for _, packed := range sc.surv {
-				shortlist[packed] = true
-			}
-			goldQueued, goldKept := 0, 0
-			for _, cand := range ex.Candidates {
-				packed := uint32(cand.I)<<16 | uint32(cand.J)
-				if !shortlist[packed] {
-					t.Fatalf("%s: queue pair (%d,%d) missing from shortlist", label, cand.I, cand.J)
-				}
-				ai, aj := art.TD.Attrs[cand.I], art.TD.Attrs[cand.J]
-				if ai.Lang != aj.Lang && tt.Correct(ai.Lang, ai.Name, aj.Lang, aj.Name) {
-					goldQueued++
-					goldKept++
-				}
-			}
-			if goldQueued > 0 && goldKept != goldQueued {
-				t.Fatalf("%s: gold recall %d/%d", label, goldKept, goldQueued)
-			}
-			if tlsi <= 0.1 && goldQueued == 0 {
-				t.Fatalf("%s: no gold pairs in queue — fixture too weak to test recall", label)
+			ai, aj := art.TD.Attrs[cand.I], art.TD.Attrs[cand.J]
+			if ai.Lang != aj.Lang && tt.Correct(ai.Lang, ai.Name, aj.Lang, aj.Name) {
+				goldQueued++
+				goldKept++
 			}
 		}
-	}
-}
-
-func itoa(v int) string { return string(rune('0' + v%10)) }
-
-func ftoa(v float64) string {
-	switch {
-	case v == 0:
-		return "0"
-	case v < 0.1:
-		return "0.05"
-	default:
-		return "big"
+		if goldQueued > 0 && goldKept != goldQueued {
+			t.Fatalf("%s: gold recall %d/%d", label, goldKept, goldQueued)
+		}
+		if tlsi <= 0.1 && goldQueued == 0 {
+			t.Fatalf("%s: no gold pairs in queue — fixture too weak to test recall", label)
+		}
 	}
 }
 
@@ -205,7 +190,7 @@ func TestPrunedDumpScaleEquivalence(t *testing.T) {
 }
 
 // TestScorePrunedZeroAllocs pins the warm-path allocation contract: with
-// a retained scratch whose capacity already fits the type, the shortlist
+// a retained scratch whose capacity already fits the type, the bound
 // pass plus exact rescoring performs zero heap allocations.
 func TestScorePrunedZeroAllocs(t *testing.T) {
 	c, _ := corpus(t)
@@ -213,7 +198,6 @@ func TestScorePrunedZeroAllocs(t *testing.T) {
 	tps := MatchEntityTypes(c, pair)
 	d := dict.Build(c, pair.A, pair.B)
 	cfg := DefaultConfig()
-	cfg.Candidates = 2 // keep the survivor count below the parallel cutoff
 	art, err := NewMatcher(cfg).BuildTypeArtifacts(context.Background(), c, pair, tps[0][0], tps[0][1], d)
 	if err != nil {
 		t.Fatalf("BuildTypeArtifacts: %v", err)

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/synth"
+	"repro/internal/text"
 	"repro/internal/wiki"
 )
 
@@ -110,16 +112,84 @@ func TestEmptyModel(t *testing.T) {
 	}
 }
 
+// TestScoreBounds pins the property the pruned scorer in internal/core
+// relies on: for every pair, ScoreBounds' hi is a certified upper bound
+// of the exact Score, provably-zero pairs (identical indices,
+// same-language co-occurrence) bound to (0, 0), and for cross-language
+// pairs the estimate is within the quantization margin of the score. It
+// runs on the paper's Figure 2 duals, one synthetic entity type, and a
+// small dump-scale type that takes the randomized SVD path.
 func TestScoreBounds(t *testing.T) {
-	m := Build(paperDuals(), 4)
-	for i := 0; i < m.Len(); i++ {
-		for j := 0; j < m.Len(); j++ {
-			s := m.Score(i, j)
-			if s < 0 || s > 1.0000001 {
-				t.Fatalf("score(%v,%v) = %v out of range", m.Attrs[i], m.Attrs[j], s)
+	c, _, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump := synth.DumpScale(synth.DumpScaleConfig{Attrs: 60, Boxes: 250, PerBox: 12, Values: 120, Seed: 5})
+	for _, tc := range []struct {
+		name  string
+		duals []Dual
+		rank  int
+	}{
+		{"paper", paperDuals(), 4},
+		{"synth filme", corpusDuals(c, wiki.PtEn, "filme"), DefaultRank},
+		{"dump-scale", corpusDuals(dump, wiki.PtEn, "registro"), DefaultRank},
+	} {
+		m := Build(tc.duals, tc.rank)
+		cross, vetoed := 0, 0
+		for i := 0; i < m.Len(); i++ {
+			for j := 0; j < m.Len(); j++ {
+				s := m.Score(i, j)
+				est, hi := m.ScoreBounds(i, j)
+				ai, aj := m.Attrs[i], m.Attrs[j]
+				if s < 0 || s > 1.0000001 {
+					t.Fatalf("%s: Score(%v,%v) = %v out of range", tc.name, ai, aj, s)
+				}
+				if s > hi {
+					t.Fatalf("%s: Score(%v,%v) = %v above its bound %v", tc.name, ai, aj, s, hi)
+				}
+				switch {
+				case i == j || (ai.Lang == aj.Lang && m.CoOccur(i, j)):
+					vetoed++
+					if est != 0 || hi != 0 {
+						t.Fatalf("%s: ScoreBounds(%v,%v) = (%v, %v), want (0, 0)", tc.name, ai, aj, est, hi)
+					}
+				case ai.Lang != aj.Lang:
+					cross++
+					if margin := m.Quantized().Margin(i, j); math.Abs(est-s) > margin {
+						t.Fatalf("%s: |est %v − Score %v| of (%v,%v) exceeds margin %v", tc.name, est, s, ai, aj, margin)
+					}
+				}
 			}
 		}
+		if cross == 0 || vetoed <= m.Len() {
+			t.Fatalf("%s: degenerate fixture: %d cross-language pairs, %d vetoed pairs over %d attributes",
+				tc.name, cross, vetoed, m.Len())
+		}
 	}
+}
+
+// corpusDuals rebuilds the dual-language infoboxes of the cross-linked
+// pairs whose source article has type typeA, as sim.TypeData does for
+// Build (sim imports this package, so the test cannot call it).
+func corpusDuals(c *wiki.Corpus, pair wiki.LanguagePair, typeA string) []Dual {
+	side := func(lang wiki.Language, ib *wiki.Infobox) []Attr {
+		var out []Attr
+		seen := map[string]bool{}
+		for _, av := range ib.Attrs {
+			if n := text.Normalize(av.Name); n != "" && !seen[n] {
+				seen[n] = true
+				out = append(out, Attr{Lang: lang, Name: n})
+			}
+		}
+		return out
+	}
+	var duals []Dual
+	for _, p := range c.Pairs(pair) {
+		if p.A.Type == typeA {
+			duals = append(duals, Dual{A: side(pair.A, p.A.Infobox), B: side(pair.B, p.B.Infobox)})
+		}
+	}
+	return duals
 }
 
 func TestRankClamping(t *testing.T) {

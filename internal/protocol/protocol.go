@@ -59,12 +59,6 @@ type MatchRequest struct {
 	TSim *float64 `json:"tsim,omitempty"`
 	TLSI *float64 `json:"tlsi,omitempty"`
 	TEg  *float64 `json:"teg,omitempty"`
-	// Candidates overrides the per-attribute shortlist width of the
-	// pruned scoring path (0 restores the default, -1 disables pruning).
-	// Like the thresholds it is a match-time parameter: results are
-	// identical at any width, only the work to produce them changes, and
-	// cached artifacts are reused untouched.
-	Candidates *int `json:"candidates,omitempty"`
 }
 
 // Resolved is a validated MatchRequest with every field parsed into its
@@ -81,13 +75,11 @@ type Resolved struct {
 // keep the session's configuration.
 type Overrides struct {
 	TSim, TLSI, TEg *float64
-	Candidates      *int
 }
 
 // Empty reports whether no override is set.
 func (o Overrides) Empty() bool {
-	return o.TSim == nil && o.TLSI == nil && o.TEg == nil &&
-		o.Candidates == nil
+	return o.TSim == nil && o.TLSI == nil && o.TEg == nil
 }
 
 // Apply returns cfg with the overrides applied. Only matching
@@ -103,9 +95,6 @@ func (o Overrides) Apply(cfg core.Config) core.Config {
 	if o.TEg != nil {
 		cfg.TEg = *o.TEg
 	}
-	if o.Candidates != nil {
-		cfg.Candidates = *o.Candidates
-	}
 	return cfg
 }
 
@@ -114,7 +103,6 @@ func (o Overrides) Apply(cfg core.Config) core.Config {
 func (r MatchRequest) Validate() (Resolved, error) {
 	res := Resolved{All: r.All, Type: r.Type, Overrides: Overrides{
 		TSim: r.TSim, TLSI: r.TLSI, TEg: r.TEg,
-		Candidates: r.Candidates,
 	}}
 	for _, th := range []struct {
 		name string
@@ -123,9 +111,6 @@ func (r MatchRequest) Validate() (Resolved, error) {
 		if th.v != nil && (*th.v < 0 || *th.v > 1) {
 			return Resolved{}, Errorf(CodeInvalidArgument, "invalid %s %v (want a threshold in [0,1])", th.name, *th.v)
 		}
-	}
-	if r.Candidates != nil && *r.Candidates < -1 {
-		return Resolved{}, Errorf(CodeInvalidArgument, "invalid candidates %d (want -1 to disable pruning, 0 for the default, or a positive shortlist width)", *r.Candidates)
 	}
 	if r.All {
 		if r.Pair != "" {

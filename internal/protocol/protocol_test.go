@@ -14,8 +14,6 @@ import (
 
 func f64(v float64) *float64 { return &v }
 
-func i(v int) *int { return &v }
-
 // TestValidate table-tests the one shared validation path.
 func TestValidate(t *testing.T) {
 	cases := []struct {
@@ -99,28 +97,6 @@ func TestValidate(t *testing.T) {
 				}
 			},
 		},
-		{
-			name: "scoring overrides pass through",
-			req:  MatchRequest{Candidates: i(4)},
-			check: func(t *testing.T, r Resolved) {
-				cfg := r.Overrides.Apply(core.DefaultConfig())
-				if cfg.Candidates != 4 {
-					t.Errorf("applied config = %+v", cfg)
-				}
-				if cfg.LSIRank != core.DefaultConfig().LSIRank || cfg.NoDictionary || cfg.ExactSVD {
-					t.Errorf("override leaked into artifact-shaping config: %+v", cfg)
-				}
-			},
-		},
-		{
-			name: "candidates disable pruning",
-			req:  MatchRequest{Candidates: i(-1)},
-			check: func(t *testing.T, r Resolved) {
-				if cfg := r.Overrides.Apply(core.DefaultConfig()); cfg.Candidates != -1 {
-					t.Errorf("applied config = %+v", cfg)
-				}
-			},
-		},
 		{name: "bad pair", req: MatchRequest{Pair: "bogus"}, wantErr: `invalid language pair "bogus" (want e.g. "pt-en")`},
 		{name: "bad mode", req: MatchRequest{All: true, Mode: "sideways"}, wantErr: `multi: unknown mode "sideways" (want "pivot" or "direct")`},
 		{name: "bad hub", req: MatchRequest{All: true, Hub: "EN"}, wantErr: `invalid hub language "EN"`},
@@ -131,7 +107,6 @@ func TestValidate(t *testing.T) {
 		{name: "pair with workers", req: MatchRequest{Workers: 2}, wantErr: `mode, hub and workers apply only to all-pairs requests (set "all": true)`},
 		{name: "tsim too big", req: MatchRequest{TSim: f64(1.5)}, wantErr: `invalid tsim 1.5 (want a threshold in [0,1])`},
 		{name: "teg negative", req: MatchRequest{TEg: f64(-0.1)}, wantErr: `invalid teg -0.1 (want a threshold in [0,1])`},
-		{name: "candidates too negative", req: MatchRequest{Candidates: i(-2)}, wantErr: `invalid candidates -2 (want -1 to disable pruning, 0 for the default, or a positive shortlist width)`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -198,9 +173,6 @@ func TestOverridesEmpty(t *testing.T) {
 	}
 	if (Overrides{TSim: f64(0.5)}).Empty() {
 		t.Error("set Overrides reported Empty")
-	}
-	if (Overrides{Candidates: i(8)}).Empty() {
-		t.Error("candidates Overrides reported Empty")
 	}
 	cfg := core.DefaultConfig()
 	if got := (Overrides{}).Apply(cfg); got != cfg {

@@ -217,6 +217,13 @@ func TestUnaryRoutesToOwner(t *testing.T) {
 	if err := json.Unmarshal(raw, &env); err != nil || env.Error == nil || env.Error.Code != protocol.CodeInvalidArgument {
 		t.Fatalf("invalid pair envelope: %s", raw)
 	}
+	// The retired candidates knob is an unknown field to the router's
+	// strict decoder too.
+	status, raw = post(t, f.rtSrv.URL+"/v1/match", `{"pair":"pt-en","candidates":4}`)
+	env = protocol.ErrorEnvelope{}
+	if status != http.StatusBadRequest || json.Unmarshal(raw, &env) != nil || env.Error == nil || env.Error.Code != protocol.CodeInvalidArgument {
+		t.Fatalf("retired candidates field via router: status %d, body %s", status, raw)
+	}
 }
 
 // TestRequestIDPropagation: a client-supplied X-Request-Id survives the

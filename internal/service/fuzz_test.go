@@ -32,9 +32,10 @@ func FuzzMatchRequest(f *testing.F) {
 			f.Add([]byte(gc.body))
 		}
 	}
-	// exactScore is no longer part of the protocol: the strict decoder
-	// must reject it as an unknown field.
+	// exactScore and candidates are no longer part of the protocol: the
+	// strict decoder must reject them as unknown fields.
 	f.Add([]byte(`{"pair":"pt-en","exactScore":true}`))
+	f.Add([]byte(`{"pair":"pt-en","candidates":4}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, derr := decodeMatchRequest(body)

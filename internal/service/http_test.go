@@ -174,10 +174,13 @@ func TestHTTPVnEnAndErrors(t *testing.T) {
 	if got := postEnvelope(t, srv.URL+"/v1/match", `{"pair":"bogus"}`, nil); got != http.StatusBadRequest {
 		t.Errorf("bogus pair: status %d, want 400", got)
 	}
-	// exactScore was folded into candidates: -1; the strict decoder
-	// rejects it like any unknown field.
-	if got := postEnvelope(t, srv.URL+"/v1/match", `{"pair":"pt-en","exactScore":true}`, nil); got != http.StatusBadRequest {
-		t.Errorf("retired exactScore field: status %d, want 400", got)
+	// Retired scoring knobs: exhaustive scoring is a core validation
+	// switch, not a wire field, so the strict decoder rejects both like
+	// any unknown field.
+	for _, body := range []string{`{"pair":"pt-en","exactScore":true}`, `{"pair":"pt-en","candidates":4}`} {
+		if got := postEnvelope(t, srv.URL+"/v1/match", body, nil); got != http.StatusBadRequest {
+			t.Errorf("retired field %s: status %d, want 400", body, got)
+		}
 	}
 	if got := postEnvelope(t, srv.URL+"/v1/match", `{"pair":"pt-en","type":"definitely-not-a-type"}`, nil); got != http.StatusNotFound {
 		t.Errorf("unknown type: status %d, want 404", got)

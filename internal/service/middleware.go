@@ -201,7 +201,7 @@ func (m *serverMetrics) snapshot() protocol.Metrics {
 func routeLabel(r *http.Request) string {
 	switch r.URL.Path {
 	case "/v1/match", "/v1/matchall", "/v1/stream", "/v1/audit", "/v1/audit/stream",
-		"/v1/corpus", "/v1/invalidate", "/v1/healthz", "/v1/metrics":
+		"/v1/corpus", "/v1/corpus/delta", "/v1/invalidate", "/v1/healthz", "/v1/metrics":
 		return r.Method + " " + r.URL.Path
 	}
 	return "other"

@@ -409,7 +409,8 @@ func TestPanicAfterWriteAborts(t *testing.T) {
 }
 
 // TestRouteLabelBounded: junk paths, retired pre-v1 routes included,
-// share the "other" bucket instead of poisoning the per-route table.
+// share the "other" bucket instead of poisoning the per-route table,
+// while every registered route, delta included, keeps its own label.
 func TestRouteLabelBounded(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusNotFound) })
 	h, metrics := WrapMiddleware(inner)
@@ -428,8 +429,14 @@ func TestRouteLabelBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	// Delta traffic is a registered route and gets its own label.
+	resp, err = http.Post(srv.URL+"/v1/corpus/delta", "application/json", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 	m := metrics()
-	if m.ByRoute["other"] != 101 || len(m.ByRoute) != 1 {
-		t.Errorf("other bucket = %d, want 101 and no other label: %v", m.ByRoute["other"], m.ByRoute)
+	if m.ByRoute["other"] != 101 || m.ByRoute["POST /v1/corpus/delta"] != 1 || len(m.ByRoute) != 2 {
+		t.Errorf("routes = %v, want other=101 and POST /v1/corpus/delta=1 only", m.ByRoute)
 	}
 }

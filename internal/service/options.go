@@ -45,13 +45,6 @@ func WithExactSVD(on bool) Option {
 	return func(c *core.Config) { c.ExactSVD = on }
 }
 
-// WithCandidates sets the per-attribute shortlist width of the pruned
-// scoring path: 0 keeps core.DefaultCandidates, -1 disables pruning.
-// A match-time knob — results are identical at any width.
-func WithCandidates(k int) Option {
-	return func(c *core.Config) { c.Candidates = k }
-}
-
 // WithoutDictionary disables dictionary translation inside vsim (the
 // paper's extra ablation); the session then skips building per-pair
 // dictionaries entirely.

@@ -9,85 +9,90 @@ import (
 	"repro/internal/wiki"
 )
 
-func intp(v int) *int { return &v }
+func f64p(v float64) *float64 { return &v }
 
-// TestServeMatchScoringOverrides sends the same request through the
-// default (pruned) path and the candidates overrides, pruning-disabled
-// (exhaustive) included, against one warm session. The
-// responses must be byte-identical — the overrides change only how the
-// scores are computed — and every override run must hit the session's
-// artifact cache rather than rebuild.
+// stripTimings marshals r without its timing and cache fields, the only
+// parts of a response that legitimately differ between equivalent runs.
+func stripTimings(t *testing.T, r *protocol.MatchResponse) []byte {
+	t.Helper()
+	cp := *r
+	cp.ElapsedMS = 0
+	cp.Cache = protocol.CacheStats{}
+	cp.Results = append([]protocol.TypeResult(nil), r.Results...)
+	for i := range cp.Results {
+		cp.Results[i].ElapsedMS = 0
+	}
+	b, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestServeMatchScoringOverrides sends per-request tlsi overrides against
+// one warm session. An override equal to the session's threshold must
+// reproduce the default response byte for byte, a different one must
+// answer exactly as a session configured with that threshold does, and
+// no override run may rebuild an artifact: thresholds are match-time
+// parameters, so the cached dictionaries and LSI models are reused.
 func TestServeMatchScoringOverrides(t *testing.T) {
 	s := New(smallCorpus(t))
 	ctx := context.Background()
-	base := protocol.MatchRequest{Pair: "pt-en"}
-	warm, err := s.ServeMatch(ctx, base)
+	warm, err := s.ServeMatch(ctx, protocol.MatchRequest{Pair: "pt-en"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	misses := s.CacheStats().Misses
-	strip := func(r *protocol.MatchResponse) []byte {
-		cp := *r
-		cp.ElapsedMS = 0
-		cp.Cache = protocol.CacheStats{}
-		for i := range cp.Results {
-			cp.Results[i].ElapsedMS = 0
-		}
-		b, err := json.Marshal(cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+	same, err := s.ServeMatch(ctx, protocol.MatchRequest{Pair: "pt-en", TLSI: f64p(s.Config().TLSI)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := strip(warm)
-	for _, req := range []protocol.MatchRequest{
-		{Pair: "pt-en"},
-		{Pair: "pt-en", Candidates: intp(-1)},
-		{Pair: "pt-en", Candidates: intp(1)},
-		{Pair: "pt-en", Candidates: intp(64)},
-	} {
-		resp, err := s.ServeMatch(ctx, req)
-		if err != nil {
-			t.Fatalf("ServeMatch(%+v): %v", req, err)
-		}
-		if got := strip(resp); string(got) != string(want) {
-			t.Fatalf("response for %+v differs from the pruned default", req)
-		}
+	if string(stripTimings(t, same)) != string(stripTimings(t, warm)) {
+		t.Fatal("tlsi override equal to the session threshold changed the response")
+	}
+	over, err := s.ServeMatch(ctx, protocol.MatchRequest{Pair: "pt-en", TLSI: f64p(0.3)})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got := s.CacheStats().Misses; got != misses {
-		t.Fatalf("scoring overrides rebuilt artifacts: misses %d → %d", misses, got)
+		t.Fatalf("tlsi overrides rebuilt artifacts: misses %d → %d", misses, got)
 	}
-}
-
-// TestSessionScoringOptions checks the scoring option reaches the
-// matcher configuration.
-func TestSessionScoringOptions(t *testing.T) {
-	cfg := New(smallCorpus(t), WithCandidates(-1)).Config()
-	if cfg.Candidates != -1 {
-		t.Errorf("options not applied: %+v", cfg)
+	want, err := New(smallCorpus(t), WithTLSI(0.3)).ServeMatch(ctx, protocol.MatchRequest{Pair: "pt-en"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(stripTimings(t, over)) != string(stripTimings(t, want)) {
+		t.Fatal("tlsi override differs from a session configured with that threshold")
+	}
+	if string(stripTimings(t, over)) == string(stripTimings(t, warm)) {
+		t.Fatal("tlsi 0.3 answers like the default; the fixture cannot tell an ignored override")
 	}
 }
 
 // TestServeMatchSingleTypeOverride exercises the single-type path with a
-// scoring override, which shares matcherFor with the pair path.
+// tlsi override, which shares matcherFor with the pair path.
 func TestServeMatchSingleTypeOverride(t *testing.T) {
 	s := New(smallCorpus(t))
 	ctx := context.Background()
-	pruned, err := s.ServeMatch(ctx, protocol.MatchRequest{Pair: wiki.PtEn.String(), Type: "filme"})
+	req := protocol.MatchRequest{Pair: wiki.PtEn.String(), Type: "filme"}
+	if _, err := s.ServeMatch(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	misses := s.CacheStats().Misses
+	req.TLSI = f64p(0.3)
+	over, err := s.ServeMatch(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := s.ServeMatch(ctx, protocol.MatchRequest{
-		Pair: wiki.PtEn.String(), Type: "filme", Candidates: intp(-1),
-	})
+	if got := s.CacheStats().Misses; got != misses {
+		t.Fatalf("single-type tlsi override rebuilt artifacts: misses %d → %d", misses, got)
+	}
+	req.TLSI = nil
+	want, err := New(smallCorpus(t), WithTLSI(0.3)).ServeMatch(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned.Results[0].ElapsedMS = 0
-	ex.Results[0].ElapsedMS = 0
-	a, _ := json.Marshal(pruned.Results)
-	b, _ := json.Marshal(ex.Results)
-	if string(a) != string(b) {
-		t.Fatal("single-type exhaustive override changed the result")
+	if string(stripTimings(t, over)) != string(stripTimings(t, want)) {
+		t.Fatal("single-type tlsi override differs from a session configured with that threshold")
 	}
 }

@@ -287,10 +287,6 @@ var (
 	WithSeed = service.WithSeed
 	// WithExactSVD forces the exact dense Jacobi SVD inside LSI.
 	WithExactSVD = service.WithExactSVD
-	// WithCandidates sets the pruned scoring path's shortlist width
-	// (0 = default, -1 scores exhaustively); results are identical at
-	// any width.
-	WithCandidates = service.WithCandidates
 	// WithoutDictionary disables dictionary translation inside vsim.
 	WithoutDictionary = service.WithoutDictionary
 )
