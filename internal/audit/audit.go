@@ -303,8 +303,9 @@ func (o *observation) normString() string {
 	return strings.Join(outs, ", ")
 }
 
-// splitValue cuts a raw infobox value into parts and attaches link
-// targets by anchor text.
+// splitValue cuts a raw infobox value into ", " parts, re-merges the
+// English dates the split cuts at their comma ("September 9, 1958"), and
+// attaches link targets by anchor text.
 func splitValue(av wiki.AttributeValue) []part {
 	targets := make(map[string]string, len(av.Links))
 	for _, l := range av.Links {
@@ -313,12 +314,22 @@ func splitValue(av wiki.AttributeValue) []part {
 		}
 	}
 	raws := strings.Split(av.Text, ", ")
+	norms := make([]string, len(raws))
+	for i, r := range raws {
+		norms[i] = text.Normalize(r)
+	}
 	parts := make([]part, 0, len(raws))
-	for _, r := range raws {
-		if r == "" {
+	for i := 0; i < len(raws); i++ {
+		if raws[i] == "" {
 			continue
 		}
-		parts = append(parts, part{raw: r, norm: text.NormalizeValue(r), target: targets[r]})
+		norm, span := text.DateSpan(norms, i)
+		if span == 0 {
+			norm, span = text.NormalizeValue(raws[i]), 1
+		}
+		r := strings.Join(raws[i:i+span], ", ")
+		parts = append(parts, part{raw: r, norm: norm, target: targets[r]})
+		i += span - 1
 	}
 	return parts
 }

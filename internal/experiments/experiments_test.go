@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -10,6 +14,8 @@ import (
 )
 
 var shared *Setup
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden files from live output")
 
 func setup(t *testing.T) *Setup {
 	t.Helper()
@@ -235,6 +241,11 @@ func TestFigure5Stability(t *testing.T) {
 	}
 }
 
+// TestRenderAll pins every paper table and figure at the small scale
+// byte for byte. Regenerate the golden (only when a change is meant to
+// move the paper outputs) with:
+//
+//	go test ./internal/experiments -run TestRenderAll -update
 func TestRenderAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full render is slow")
@@ -247,6 +258,35 @@ func TestRenderAll(t *testing.T) {
 	for _, want := range []string{"Table 2", "Table 7", "Figure 4", "Figure 7"} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("output missing %q", want)
+		}
+	}
+	path := filepath.Join("testdata", "golden", "render_all_small.golden")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to record): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		got, exp := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(got) || i < len(exp); i++ {
+			var g, e string
+			if i < len(got) {
+				g = got[i]
+			}
+			if i < len(exp) {
+				e = exp[i]
+			}
+			if g != e {
+				t.Fatalf("RenderAll differs from %s at line %d:\n got: %q\nwant: %q", path, i+1, g, e)
+			}
 		}
 	}
 }

@@ -189,7 +189,7 @@ func satisfies(ib *wiki.Infobox, c Constraint, lang wiki.Language) bool {
 		if err != nil {
 			return false
 		}
-		v, ok := NumericValue(lang, av.Text)
+		v, ok := NumericValue(av.Text)
 		if !ok {
 			return false
 		}
@@ -207,58 +207,18 @@ func satisfies(ib *wiki.Infobox, c Constraint, lang wiki.Language) bool {
 	return false
 }
 
-// NumericValue extracts a comparable number from an attribute value:
-// dates yield their year, money strings apply their magnitude word, and
-// otherwise the first number wins.
-func NumericValue(lang wiki.Language, value string) (float64, bool) {
-	terms := sim.ValueTerms(lang, value)
-	if len(terms) == 0 {
-		return 0, false
-	}
-	// Dates: ISO terms contribute their year.
-	for _, t := range terms {
-		if len(t) == 10 && t[4] == '-' && t[7] == '-' {
-			if y, err := strconv.Atoi(t[:4]); err == nil {
-				return float64(y), true
-			}
-		}
-	}
-	norm := text.Normalize(value)
-	mult := 1.0
-	for _, m := range []struct {
-		word string
-		f    float64
-	}{
-		{"billion", 1e9}, {"bilhoes", 1e9}, {"bilhao", 1e9}, {"ty", 1e9},
-		{"million", 1e6}, {"milhoes", 1e6}, {"milhao", 1e6}, {"trieu", 1e6},
-	} {
-		if strings.Contains(norm, m.word) {
-			mult = m.f
-			break
-		}
-	}
-	for _, t := range terms {
-		for _, run := range strings.Fields(t) {
-			if v, err := strconv.ParseFloat(run, 64); err == nil {
-				return v * mult, true
-			}
-		}
-		if v, err := strconv.ParseFloat(t, 64); err == nil {
-			return v * mult, true
-		}
-	}
-	// Fall back to any digit run in the normalized value.
-	runStart := -1
-	for i := 0; i <= len(norm); i++ {
-		isD := i < len(norm) && norm[i] >= '0' && norm[i] <= '9'
-		if isD && runStart < 0 {
-			runStart = i
-		}
-		if !isD && runStart >= 0 {
-			if v, err := strconv.ParseFloat(norm[runStart:i], 64); err == nil {
-				return v * mult, true
-			}
-			runStart = -1
+// NumericValue extracts a comparable number from an attribute value
+// through the shared value analyzer: the first of its ", " parts that
+// text.NormalizeValue reads as a date gives its year, or as a number or
+// quantity gives its magnitude in base units ("US$ 12 bilhões" → 12e9,
+// "2 horas" → 120 minutes). Splitting on ", " keeps "1,234" one number.
+func NumericValue(value string) (float64, bool) {
+	for _, part := range strings.Split(value, ", ") {
+		switch v := text.NormalizeValue(part); v.Kind {
+		case text.ValueDate:
+			return float64(v.Year), true
+		case text.ValueNumber, text.ValueQuantity:
+			return v.Number, true
 		}
 	}
 	return 0, false

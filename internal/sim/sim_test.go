@@ -9,30 +9,40 @@ import (
 	"repro/internal/wiki"
 )
 
+// TestCanonicalDate checks that the matcher puts each language's
+// rendering of a date into ISO form (plus its year) and reads no date
+// out of values that are not one.
 func TestCanonicalDate(t *testing.T) {
 	cases := []struct {
 		in   string
-		want string
-		ok   bool
+		want string // ISO form; "" when in is not a date
 	}{
-		{"December 18, 1950", "1950-12-18", true},
-		{"December 18 1950", "1950-12-18", true},
-		{"18 de dezembro de 1950", "1950-12-18", true},
-		{"18 de Dezembro 1950", "1950-12-18", true},
-		{"18 tháng 12 năm 1950", "1950-12-18", true},
-		{"18 tháng 12 1950", "1950-12-18", true},
-		{"June 4 1975", "1975-06-04", true},
-		{"4 de junho de 1975", "1975-06-04", true},
-		{"just words", "", false},
-		{"1963", "", false},
-		{"December 40, 1950", "", false},
-		{"0 de dezembro de 1950", "", false},
-		{"160 minutes", "", false},
+		{"December 18, 1950", "1950-12-18"},
+		{"December 18 1950", "1950-12-18"},
+		{"18 de dezembro de 1950", "1950-12-18"},
+		{"18 de Dezembro 1950", "1950-12-18"},
+		{"18 tháng 12 năm 1950", "1950-12-18"},
+		{"18 tháng 12 1950", "1950-12-18"},
+		{"June 4 1975", "1975-06-04"},
+		{"4 de junho de 1975", "1975-06-04"},
+		{"just words", ""},
+		{"1963", ""},
+		{"December 40, 1950", ""},
+		{"0 de dezembro de 1950", ""},
+		{"160 minutes", ""},
 	}
 	for _, c := range cases {
-		got, ok := CanonicalDate(c.in)
-		if ok != c.ok || got != c.want {
-			t.Errorf("CanonicalDate(%q) = %q, %v; want %q, %v", c.in, got, ok, c.want, c.ok)
+		got := ValueTerms(wiki.English, c.in)
+		if c.want != "" {
+			if len(got) != 2 || got[0] != c.want || got[1] != c.want[:4] {
+				t.Errorf("ValueTerms(%q) = %v, want [%s %s]", c.in, got, c.want, c.want[:4])
+			}
+			continue
+		}
+		for _, term := range got {
+			if _, ok := text.ParseDate(term); ok {
+				t.Errorf("ValueTerms(%q) = %v, read %q as a date", c.in, got, term)
+			}
 		}
 	}
 }
@@ -57,6 +67,13 @@ func TestValueTerms(t *testing.T) {
 	for _, v := range []string{"160 minutes", "160 min", "160 phút"} {
 		if got := ValueTerms(wiki.English, v); len(got) != 1 || got[0] != "160" {
 			t.Errorf("ValueTerms(%q) = %v, want [160]", v, got)
+		}
+	}
+	// English dates cut at their comma are re-merged, and ISO dates are
+	// dates too: both contribute the ISO form and its year.
+	for _, v := range []string{"October 4, 1987", "1987-10-04"} {
+		if got := ValueTerms(wiki.English, v); len(got) != 2 || got[0] != "1987-10-04" || got[1] != "1987" {
+			t.Errorf("ValueTerms(%q) = %v, want [1987-10-04 1987]", v, got)
 		}
 	}
 	// Money keeps the phrase and the digit run.

@@ -7,117 +7,35 @@
 package sim
 
 import (
-	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/text"
 	"repro/internal/wiki"
 )
 
-// monthIndex maps normalized month names (English and Portuguese) to
-// their number, for date canonicalization.
-var monthIndex = map[string]int{
-	"january": 1, "february": 2, "march": 3, "april": 4, "may": 5,
-	"june": 6, "july": 7, "august": 8, "september": 9, "october": 10,
-	"november": 11, "december": 12,
-	"janeiro": 1, "fevereiro": 2, "marco": 3, "abril": 4, "maio": 5,
-	"junho": 6, "julho": 7, "agosto": 8, "setembro": 9, "outubro": 10,
-	"novembro": 11, "dezembro": 12,
-}
-
-// CanonicalDate recognizes a date expression in any of the three
-// languages' conventions and returns it in ISO form ("1950-12-18"):
-//
-//	English:    "December 18, 1950" / "December 18 1950"
-//	Portuguese: "18 de dezembro de 1950" / "18 de Dezembro 1950"
-//	Vietnamese: "18 tháng 12 năm 1950" / "18 tháng 12 1950"
-//
-// This plays the role the paper's title dictionary plays for date values
-// (day-month pages are cross-linked articles in Wikipedia): it puts the
-// two languages' renderings of the same date into a common form before
-// cosine comparison.
-func CanonicalDate(term string) (string, bool) {
-	toks := text.Tokenize(term)
-	if len(toks) < 3 || len(toks) > 5 {
-		return "", false
-	}
-	// Strip Portuguese "de" and Vietnamese "nam" connectives.
-	var parts []string
-	for _, t := range toks {
-		if t == "de" || t == "nam" {
-			continue
-		}
-		parts = append(parts, t)
-	}
-	// Valid shapes: [month day year] (en), [day month year] (pt), or
-	// [day "thang" month year] (vn).
-	if len(parts) != 3 && !(len(parts) == 4 && parts[1] == "thang") {
-		return "", false
-	}
-	var day, month, year int
-	switch {
-	case len(parts) == 4 && parts[1] == "thang":
-		day = atoiOr(parts[0], -1)
-		month = atoiOr(parts[2], -1)
-		year = atoiOr(parts[3], -1)
-	case len(parts) == 3 && monthIndex[parts[0]] > 0:
-		// English: month day year.
-		month = monthIndex[parts[0]]
-		day = atoiOr(parts[1], -1)
-		year = atoiOr(parts[2], -1)
-	case len(parts) == 3 && monthIndex[parts[1]] > 0:
-		// Portuguese: day month year.
-		day = atoiOr(parts[0], -1)
-		month = monthIndex[parts[1]]
-		year = atoiOr(parts[2], -1)
-	default:
-		return "", false
-	}
-	if day < 1 || day > 31 || month < 1 || month > 12 || year < 100 || year > 3000 {
-		return "", false
-	}
-	return fmt.Sprintf("%04d-%02d-%02d", year, month, day), true
-}
-
-func atoiOr(s string, def int) int {
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return def
-	}
-	return v
-}
-
 // ValueTerms splits an attribute's raw value text into normalized value
 // terms — the components of the paper's value vectors. Values are split
-// on commas outside parentheses; date expressions are canonicalized.
-// English dates carry an internal comma ("October 4, 1987"), so adjacent
-// segments that jointly parse as a date are re-merged.
+// on commas outside parentheses; date expressions, including English
+// dates the split cut at their comma, are read by text.DateSpan and
+// contribute their ISO form.
 func ValueTerms(lang wiki.Language, value string) []string {
 	segs := splitValue(value)
+	for i, seg := range segs {
+		segs[i] = text.Normalize(seg)
+	}
 	var terms []string
 	for i := 0; i < len(segs); i++ {
-		seg := strings.TrimSpace(segs[i])
-		if seg == "" {
+		n := segs[i]
+		if n == "" {
 			continue
 		}
-		if i+1 < len(segs) {
-			joined := seg + ", " + strings.TrimSpace(segs[i+1])
-			if iso, ok := CanonicalDate(joined); ok {
-				terms = append(terms, iso, iso[:4])
-				i++
-				continue
-			}
-		}
-		if iso, ok := CanonicalDate(seg); ok {
+		if d, span := text.DateSpan(segs, i); span > 0 {
 			// A date contributes both its full ISO form and its year: the
 			// year survives day-level inconsistencies between language
 			// editions (the paper's running-time/date noise, §1).
+			iso := d.Canonical()
 			terms = append(terms, iso, iso[:4])
-			continue
-		}
-		n := text.Normalize(seg)
-		if n == "" {
+			i += span - 1
 			continue
 		}
 		// A "<number> <unit>" segment ("160 minutes" / "160 min" /

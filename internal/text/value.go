@@ -5,6 +5,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // ValueKind is the domain NormalizeValue recognized for an infobox value.
@@ -83,19 +85,19 @@ func (v NormalizedValue) Canonical() string {
 }
 
 // NormalizeValue parses one infobox value atom into its typed normal
-// form: dates in the edition conventions (ISO "1950-12-18", English
-// "December 18, 1950", Portuguese "18 de dezembro de 1950", Vietnamese
-// "18 tháng 12 năm 1950"), numbers with locale-aware thousand/decimal
-// separators ("1,234.5" and "1.234,5" both mean 1234.5), and magnitudes
-// carrying units or scale words ("160 min", "2 giờ", "US$ 23 milhões",
-// "23 triệu USD", "5 km"). Anything else falls back to normalized free
-// text. It never panics on any input.
+// form: dates in any edition's convention (ParseDate: ISO "1950-12-18",
+// English "December 18, 1950", Portuguese "18 de dezembro de 1950",
+// Vietnamese "18 tháng 12 năm 1950"), numbers with locale-aware
+// thousand/decimal separators ("1,234.5" and "1.234,5" both mean 1234.5),
+// and magnitudes carrying units or scale words ("160 min", "2 giờ",
+// "US$ 23 milhões", "23 triệu USD", "5 km"). Anything else falls back to
+// normalized free text. It never panics on any input.
 func NormalizeValue(raw string) NormalizedValue {
 	norm := Normalize(raw)
 	if norm == "" {
 		return NormalizedValue{Kind: ValueText, Text: ""}
 	}
-	if v, ok := parseDate(norm); ok {
+	if v, ok := ParseDate(norm); ok {
 		return v
 	}
 	if v, ok := parseNumeric(norm); ok {
@@ -133,78 +135,140 @@ var monthTable = map[string]int{
 	"novembro": 11, "dezembro": 12,
 }
 
-// parseDate recognizes the edition date formats over the normalized
-// string.
-func parseDate(norm string) (NormalizedValue, bool) {
-	fields := strings.Fields(norm)
-	date := func(y, m, d int) (NormalizedValue, bool) {
-		if y < 1 || y > 9999 || m < 1 || m > 12 || d < 1 || d > 31 {
-			return NormalizedValue{}, false
-		}
-		return NormalizedValue{Kind: ValueDate, Year: y, Month: m, Day: d}, true
+// ParseDate recognizes one calendar date written in any edition's
+// convention, over Normalize'd text, and returns it as a ValueDate:
+//
+//	ISO:        "1950-12-18"
+//	English:    "December 18, 1950" / "December 18 1950"
+//	Portuguese: "18 de dezembro de 1950" / "18 de Dezembro 1950"
+//	Vietnamese: "18 tháng 12 năm 1950" / "18 tháng 12 1950"
+//
+// This plays the role the paper's title dictionary plays for date values
+// (day-month pages are cross-linked articles in Wikipedia): the three
+// renderings of one date share one canonical form. Years run 1–9999, so
+// the canonical "YYYY-MM-DD" always reads back as the same date.
+func ParseDate(norm string) (NormalizedValue, bool) {
+	var t dateTokens
+	if !t.scan(norm) {
+		return NormalizedValue{}, false
 	}
-	switch len(fields) {
-	case 1:
-		// ISO "1950-12-18".
-		parts := strings.Split(fields[0], "-")
-		if len(parts) != 3 || len(parts[0]) != 4 {
-			return NormalizedValue{}, false
-		}
-		y, okY := atoi(parts[0])
-		m, okM := atoi(parts[1])
-		d, okD := atoi(parts[2])
-		if !okY || !okM || !okD {
-			return NormalizedValue{}, false
-		}
-		return date(y, m, d)
-	case 3:
-		// English "december 18, 1950".
-		m, okM := monthTable[fields[0]]
-		d, okD := atoi(strings.TrimSuffix(fields[1], ","))
-		y, okY := atoi(fields[2])
-		if !okM || !okD || !okY {
-			return NormalizedValue{}, false
-		}
-		return date(y, m, d)
-	case 5:
-		switch {
-		case fields[1] == "de" && fields[3] == "de":
-			// Portuguese "18 de dezembro de 1950".
-			d, okD := atoi(fields[0])
-			m, okM := monthTable[fields[2]]
-			y, okY := atoi(fields[4])
-			if !okD || !okM || !okY {
-				return NormalizedValue{}, false
-			}
-			return date(y, m, d)
-		case fields[1] == "thang" && fields[3] == "nam":
-			// Vietnamese "18 tháng 12 năm 1950" (diacritics folded).
-			d, okD := atoi(fields[0])
-			m, okM := atoi(fields[2])
-			y, okY := atoi(fields[4])
-			if !okD || !okM || !okY {
-				return NormalizedValue{}, false
-			}
-			return date(y, m, d)
-		}
-	}
-	return NormalizedValue{}, false
+	return t.date(t.dashed(norm))
 }
 
-// atoi parses a short all-digit field.
-func atoi(s string) (int, bool) {
-	if s == "" || len(s) > 4 {
-		return 0, false
+// DateSpan is the re-merge rule for comma-split values: English dates
+// carry an internal comma ("October 4, 1987"), so a split cuts them in
+// two. It reports whether parts[i] joined with parts[i+1], or else
+// parts[i] alone, spells one date, and how many parts that date spans
+// (0 when parts[i] starts none). parts must be Normalize'd; each is
+// tokenized once per call.
+func DateSpan(parts []string, i int) (NormalizedValue, int) {
+	var t dateTokens
+	if parts[i] == "" || !t.scan(parts[i]) {
+		return NormalizedValue{}, 0
 	}
-	n := 0
-	for _, r := range s {
-		if r < '0' || r > '9' {
-			return 0, false
+	if i+1 < len(parts) && parts[i+1] != "" {
+		if joined := t; joined.scan(parts[i+1]) {
+			if v, ok := joined.date(false); ok {
+				return v, 2
+			}
 		}
-		n = n*10 + int(r-'0')
 	}
-	return n, true
+	if v, ok := t.date(t.dashed(parts[i])); ok {
+		return v, 1
+	}
+	return NormalizedValue{}, 0
 }
+
+// dateTokens is the token stream the date grammar reads: the letter and
+// digit runs of normalized text, minus the connectives "de" (Portuguese)
+// and "nam" (Vietnamese "năm"). Punctuation only separates runs.
+type dateTokens struct {
+	tok  [5]string
+	n    int // tokens kept
+	runs int // runs seen, connectives included
+}
+
+// maxDateRuns bounds a date's runs: "18 tháng 12 năm 1950" has five.
+const maxDateRuns = 5
+
+// scan appends the runs of norm, reporting false once the stream holds
+// more runs than any date has.
+func (t *dateTokens) scan(norm string) bool {
+	for i := 0; i < len(norm); {
+		r, w := utf8.DecodeRuneInString(norm[i:])
+		if !isWordRune(r) {
+			i += w
+			continue
+		}
+		j := i + w
+		for j < len(norm) {
+			r, w := utf8.DecodeRuneInString(norm[j:])
+			if !isWordRune(r) {
+				break
+			}
+			j += w
+		}
+		if t.runs++; t.runs > maxDateRuns {
+			return false
+		}
+		if run := norm[i:j]; run != "de" && run != "nam" {
+			t.tok[t.n] = run
+			t.n++
+		}
+		i = j
+	}
+	return true
+}
+
+// dashed reports whether norm, the single string scanned into t, is
+// exactly three runs joined by single '-' — the ISO shape.
+func (t *dateTokens) dashed(norm string) bool {
+	a, b, c := len(t.tok[0]), len(t.tok[1]), len(t.tok[2])
+	return t.runs == 3 && t.n == 3 && len(norm) == a+b+c+2 &&
+		norm[a] == '-' && norm[a+1+b] == '-'
+}
+
+// date reads the token stream as [month day year] (English), [day month
+// year] (Portuguese), [day "thang" month year] (Vietnamese), or, when the
+// input was dashed, [year month day] (ISO, four-digit year).
+func (t *dateTokens) date(dashed bool) (NormalizedValue, bool) {
+	tok := &t.tok
+	var y, m, d int
+	switch {
+	case t.n == 3 && monthTable[tok[0]] > 0:
+		m, d, y = monthTable[tok[0]], dateField(tok[1]), dateField(tok[2])
+	case t.n == 3 && monthTable[tok[1]] > 0:
+		d, m, y = dateField(tok[0]), monthTable[tok[1]], dateField(tok[2])
+	case t.n == 4 && tok[1] == "thang":
+		d, m, y = dateField(tok[0]), dateField(tok[2]), dateField(tok[3])
+	case dashed && len(tok[0]) == 4:
+		y, m, d = dateField(tok[0]), dateField(tok[1]), dateField(tok[2])
+	default:
+		return NormalizedValue{}, false
+	}
+	if y < 1 || y > 9999 || m < 1 || m > 12 || d < 1 || d > 31 {
+		return NormalizedValue{}, false
+	}
+	return NormalizedValue{Kind: ValueDate, Year: y, Month: m, Day: d}, true
+}
+
+// dateField reads an ASCII digit run, or returns -1 for anything else or
+// a value past any date field's range.
+func dateField(s string) int {
+	n := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return -1
+		}
+		if n = n*10 + int(s[i]-'0'); n > 9999 {
+			return -1
+		}
+	}
+	return n
+}
+
+// isWordRune is Tokenize's token class: letters and digits.
+func isWordRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
 
 // unitDef converts a written unit word to its canonical base unit.
 type unitDef struct {

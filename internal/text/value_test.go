@@ -5,6 +5,88 @@ import (
 	"testing"
 )
 
+// TestParseDate is the one table for the date grammar every consumer
+// shares: matching terms (sim.ValueTerms), audit values (NormalizeValue)
+// and query numbers all read dates through it.
+func TestParseDate(t *testing.T) {
+	cases := []struct {
+		in   string
+		want string // canonical ISO form; "" when in is not a date
+	}{
+		{"1950-12-18", "1950-12-18"},
+		{"December 18, 1950", "1950-12-18"},
+		{"December 18 1950", "1950-12-18"},
+		{"18 de dezembro de 1950", "1950-12-18"},
+		{"18 de Dezembro 1950", "1950-12-18"},
+		{"18 tháng 12 năm 1950", "1950-12-18"},
+		{"June 4 1975", "1975-06-04"},
+		{"4 de junho de 1975", "1975-06-04"},
+		{"1 de março de 2004", "2004-03-01"},
+		{"May 7, 1971", "1971-05-07"},
+		{"3 tháng 2 năm 1988", "1988-02-03"},
+		// Shapes only one of the two former parsers read: the matcher
+		// never read ISO, and the auditor never read a Portuguese date
+		// missing its second "de" or a Vietnamese one missing "năm".
+		{"1987-10-04", "1987-10-04"},
+		{"18 de dezembro 1950", "1950-12-18"},
+		{"18 tháng 12 1950", "1950-12-18"},
+		{"just words", ""},
+		{"1963", ""},
+		{"160 minutes", ""},
+		{"December 40, 1950", ""},
+		{"0 de dezembro de 1950", ""},
+		{"32 de dezembro de 1950", ""},
+		{"1950-13-18", ""},
+		{"1950-12-32", ""},
+		{"0000-01-01", ""},
+		{"978-0-123-45678-9", ""},
+		{"1950/12/18", ""},
+		{"18 de dezembro de 1950, Paris", ""},
+	}
+	for _, c := range cases {
+		v, ok := ParseDate(Normalize(c.in))
+		got := ""
+		if ok {
+			got = v.Canonical()
+		}
+		if got != c.want {
+			t.Errorf("ParseDate(%q) = %q, want %q", c.in, got, c.want)
+		}
+		// NormalizeValue reads exactly the same dates.
+		if nv := NormalizeValue(c.in); (nv.Kind == ValueDate) != ok || (ok && nv != v) {
+			t.Errorf("NormalizeValue(%q) = %+v, ParseDate = %+v, %v", c.in, nv, v, ok)
+		}
+	}
+}
+
+func TestDateSpan(t *testing.T) {
+	cases := []struct {
+		parts []string
+		i     int
+		want  string
+		span  int
+	}{
+		{[]string{"october 4", "1987", "paris"}, 0, "1987-10-04", 2},
+		{[]string{"paris", "october 4", "1987"}, 1, "1987-10-04", 2},
+		{[]string{"18 de dezembro de 1950", "1951"}, 0, "1950-12-18", 1},
+		{[]string{"december 18 1950", ""}, 0, "1950-12-18", 1},
+		{[]string{"1950-12-18", "1951"}, 0, "1950-12-18", 1},
+		{[]string{"irlanda", "estados unidos"}, 0, "", 0},
+		{[]string{"", "december 18 1950"}, 0, "", 0},
+		{[]string{"october 4"}, 0, "", 0},
+	}
+	for _, c := range cases {
+		v, span := DateSpan(c.parts, c.i)
+		got := ""
+		if span > 0 {
+			got = v.Canonical()
+		}
+		if got != c.want || span != c.span {
+			t.Errorf("DateSpan(%q, %d) = %q, %d; want %q, %d", c.parts, c.i, got, span, c.want, c.span)
+		}
+	}
+}
+
 func TestNormalizeValueDates(t *testing.T) {
 	cases := []struct {
 		in      string
@@ -162,6 +244,8 @@ func FuzzNormalizeValue(f *testing.F) {
 		"1,234.5", "1.234,5", "1.234.567", "5 km", "70 kg", "2 giờ",
 		"France", "1940–1971", "978-0-123-45678-9", "", "-5", "+3,25",
 		"0.000", "2.345", "us$", "$", "million", "min", "1950-13-40",
+		"18 de dezembro 1950", "18 tháng 12 1950", "December 18 1950",
+		"1950/12/18", "may-18-1950",
 	}
 	for _, s := range seeds {
 		f.Add(s)
