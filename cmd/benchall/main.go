@@ -86,6 +86,10 @@ func main() {
 	trajectory := flag.String("trajectory", "", "with -json: upsert the measured document into this trajectory file")
 	prName := flag.String("pr", "", "entry name for -trajectory (e.g. pr9)")
 	flag.Parse()
+	if *scale != "small" && *scale != "full" {
+		fmt.Fprintf(os.Stderr, "-scale must be small or full, not %q\n", *scale)
+		os.Exit(2)
+	}
 
 	emitJSON := func(doc timingDoc) {
 		enc := json.NewEncoder(os.Stdout)

@@ -9,6 +9,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -81,7 +82,7 @@ func (m *Matcher) Config() Config { return m.cfg }
 type Candidate struct {
 	I, J             int
 	VSim, LSim, LSI  float64
-	InductiveScore   float64 // filled by ReviseUncertain for uncertain pairs
+	InductiveScore   float64 // eg(a, a′); set only on revised candidates, 0 on every other entry
 	AcceptedCertain  bool
 	AcceptedRevision bool
 }
@@ -493,11 +494,11 @@ func (m *Matcher) MatchTypeCtx(ctx context.Context, c *wiki.Corpus, pair wiki.La
 		rng := rand.New(rand.NewSource(cfg.Seed + 1))
 		rng.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
 	case cfg.DisableLSI:
-		sort.SliceStable(queue, func(i, j int) bool {
-			return maxF(queue[i].VSim, queue[i].LSim) > maxF(queue[j].VSim, queue[j].LSim)
+		slices.SortStableFunc(queue, func(a, b Candidate) int {
+			return descending(maxF(a.VSim, a.LSim), maxF(b.VSim, b.LSim))
 		})
 	default:
-		sort.SliceStable(queue, func(i, j int) bool { return queue[i].LSI > queue[j].LSI })
+		slices.SortStableFunc(queue, func(a, b Candidate) int { return descending(a.LSI, b.LSI) })
 	}
 
 	ms := NewMatchSet(n)
@@ -558,14 +559,14 @@ func (m *Matcher) MatchTypeCtx(ctx context.Context, c *wiki.Corpus, pair wiki.La
 		return r, nil
 	}
 
-	var uncertain []Candidate
+	var uncertain []int // queue indices
 	for idx := range queue {
 		cand := &queue[idx]
 		if maxF(cand.VSim, cand.LSim) > cfg.TSim {
 			cand.AcceptedCertain = true
 			integrate(cand.I, cand.J)
 		} else {
-			uncertain = append(uncertain, *cand)
+			uncertain = append(uncertain, idx)
 		}
 	}
 
@@ -577,19 +578,20 @@ func (m *Matcher) MatchTypeCtx(ctx context.Context, c *wiki.Corpus, pair wiki.La
 		// ReviseUncertain: score the buffered pairs by inductive grouping
 		// against the certain matches, keep the well-supported ones that
 		// carry at least some direct similarity evidence, and integrate
-		// them (this time without the Tsim constraint).
+		// them (this time without the Tsim constraint). Pairs without
+		// that evidence are discarded before they are scored.
 		const minEvidence = 0.05
-		for idx := range uncertain {
-			u := &uncertain[idx]
-			u.InductiveScore = td.InductiveGrouping(u.I, u.J, ms)
-		}
-		revised := make([]Candidate, 0, len(uncertain))
-		for _, u := range uncertain {
+		revised := make([]int, 0, len(uncertain)) // queue indices
+		for _, qi := range uncertain {
+			u := &queue[qi]
 			if maxF(u.VSim, u.LSim) <= minEvidence {
 				continue
 			}
-			if cfg.DisableInductive || u.InductiveScore > cfg.TEg {
-				revised = append(revised, u)
+			score := td.InductiveGrouping(u.I, u.J, ms)
+			if cfg.DisableInductive || score > cfg.TEg {
+				u.InductiveScore = score
+				u.AcceptedRevision = true
+				revised = append(revised, qi)
 			}
 		}
 		// Process revised candidates by their direct similarity evidence
@@ -602,22 +604,16 @@ func (m *Matcher) MatchTypeCtx(ctx context.Context, c *wiki.Corpus, pair wiki.La
 			rng := rand.New(rand.NewSource(cfg.Seed + 2))
 			rng.Shuffle(len(revised), func(i, j int) { revised[i], revised[j] = revised[j], revised[i] })
 		} else {
-			sort.SliceStable(revised, func(i, j int) bool {
-				si, sj := maxF(revised[i].VSim, revised[i].LSim), maxF(revised[j].VSim, revised[j].LSim)
-				if si != sj {
-					return si > sj
+			slices.SortStableFunc(revised, func(x, y int) int {
+				a, b := &queue[x], &queue[y]
+				if sa, sb := maxF(a.VSim, a.LSim), maxF(b.VSim, b.LSim); sa != sb {
+					return descending(sa, sb)
 				}
-				return revised[i].LSI > revised[j].LSI
+				return descending(a.LSI, b.LSI)
 			})
 		}
-		for _, u := range revised {
-			integrate(u.I, u.J)
-			for qi := range queue {
-				if queue[qi].I == u.I && queue[qi].J == u.J {
-					queue[qi].AcceptedRevision = true
-					queue[qi].InductiveScore = u.InductiveScore
-				}
-			}
+		for _, qi := range revised {
+			integrate(queue[qi].I, queue[qi].J)
 		}
 	}
 
@@ -751,6 +747,19 @@ spawn:
 	work()
 	wg.Wait()
 	return ctx.Err()
+}
+
+// descending orders a before b when a > b and after it when a < b; any
+// other pair (equal, or NaN on either side) ties, which is exactly the
+// order the "a > b" less function gives under a stable sort.
+func descending(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case a < b:
+		return 1
+	}
+	return 0
 }
 
 func maxF(a, b float64) float64 {

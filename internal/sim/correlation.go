@@ -49,27 +49,30 @@ type Matched interface {
 //
 // A high score means the uncertain pair keeps company with attributes
 // whose alignment is already trusted.
+//
+// The candidates ca and c′a are read off the co-occurrence rows of i and
+// j, so the cost is the product of the two row lengths, not a scan of
+// every attribute, and nothing is allocated. Rows are ascending, so the
+// terms are summed in the same (ca, c′a) order as an ascending scan over
+// all attributes would, and the result is the same to the bit.
 func (td *TypeData) InductiveGrouping(i, j int, m Matched) float64 {
-	var caIdx, cbIdx []int
-	for k := range td.Attrs {
-		if k == i || k == j || !m.Contains(k) {
-			continue
-		}
-		if td.Attrs[k].Lang == td.Attrs[i].Lang && td.CoOccurLang(i, k) > 0 {
-			caIdx = append(caIdx, k)
-		}
-		if td.Attrs[k].Lang == td.Attrs[j].Lang && td.CoOccurLang(j, k) > 0 {
-			cbIdx = append(cbIdx, k)
-		}
-	}
+	nbrI, cntI := td.coLang.row(i)
+	nbrJ, cntJ := td.coLang.row(j)
+	langI, langJ := td.Attrs[i].Lang, td.Attrs[j].Lang
 	var sum float64
 	n := 0
-	for _, ca := range caIdx {
-		for _, cb := range cbIdx {
-			if !m.Aligned(ca, cb) {
+	for x, ca := range nbrI {
+		a := int(ca)
+		if a == j || cntI[x] <= 0 || !m.Contains(a) || td.Attrs[a].Lang != langI {
+			continue
+		}
+		ga := td.grouping(i, a, cntI[x])
+		for y, cb := range nbrJ {
+			b := int(cb)
+			if b == i || cntJ[y] <= 0 || !m.Aligned(a, b) || !m.Contains(b) || td.Attrs[b].Lang != langJ {
 				continue
 			}
-			sum += td.Grouping(i, ca) * td.Grouping(j, cb)
+			sum += ga * td.grouping(j, b, cntJ[y])
 			n++
 		}
 	}

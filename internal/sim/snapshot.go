@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sort"
-
 	"repro/internal/lsi"
 	"repro/internal/text"
 	"repro/internal/wiki"
@@ -45,21 +43,6 @@ type CoCount struct {
 	I, J, N int
 }
 
-// sortedCoCounts flattens a co-occurrence map deterministically.
-func sortedCoCounts(m map[[2]int]int) []CoCount {
-	out := make([]CoCount, 0, len(m))
-	for p, n := range m {
-		out = append(out, CoCount{I: p[0], J: p[1], N: n})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].I != out[b].I {
-			return out[a].I < out[b].I
-		}
-		return out[a].J < out[b].J
-	})
-	return out
-}
-
 // Snapshot extracts the workspace's full state for serialization. The
 // snapshot shares the TypeData's vectors and slices (both sides are
 // immutable by convention), so taking one is cheap.
@@ -76,8 +59,8 @@ func (td *TypeData) Snapshot() *Snapshot {
 		RawVec:      td.rawVec,
 		RawTransVec: td.rawTransVec,
 		Occ:         td.occ,
-		CoLang:      sortedCoCounts(td.coLang),
-		CoDual:      sortedCoCounts(td.coDual),
+		CoLang:      td.coLang.triples(),
+		CoDual:      td.coDual.triples(),
 		NBoxes:      td.nBoxes,
 	}
 	for i, a := range td.Attrs {
@@ -102,7 +85,9 @@ func attrIndices(index map[Attr]int, attrs []Attr) []int {
 
 // FromSnapshot reconstructs a TypeData. Vectors, counters and dual lists
 // are restored exactly, so a restored workspace scores every attribute
-// pair bit-identically to the one it was snapshotted from.
+// pair bit-identically to the one it was snapshotted from. The
+// co-occurrence triples must be in the form Snapshot writes (i < j,
+// sorted by (i, j), no repeats); store.Read rejects any other.
 func FromSnapshot(s *Snapshot) *TypeData {
 	td := &TypeData{
 		Pair:        s.Pair,
@@ -117,19 +102,13 @@ func FromSnapshot(s *Snapshot) *TypeData {
 		rawVec:      s.RawVec,
 		rawTransVec: s.RawTransVec,
 		occ:         s.Occ,
-		coLang:      make(map[[2]int]int, len(s.CoLang)),
-		coDual:      make(map[[2]int]int, len(s.CoDual)),
+		coLang:      newCoRows(len(s.Attrs), s.CoLang),
+		coDual:      newCoRows(len(s.Attrs), s.CoDual),
 		nBoxes:      s.NBoxes,
 	}
 	for i, a := range s.Attrs {
 		td.Index[a] = i
 		td.Display[a] = s.Display[i]
-	}
-	for _, c := range s.CoLang {
-		td.coLang[[2]int{c.I, c.J}] = c.N
-	}
-	for _, c := range s.CoDual {
-		td.coDual[[2]int{c.I, c.J}] = c.N
 	}
 	td.Duals = make([]lsi.Dual, len(s.DualsA))
 	for k := range s.DualsA {

@@ -49,8 +49,8 @@ type TypeData struct {
 	// contain it; coLang counts same-language co-occurrence; coDual
 	// counts co-occurrence inside dual-language infoboxes.
 	occ    []int
-	coLang map[[2]int]int
-	coDual map[[2]int]int
+	coLang coRows
+	coDual coRows
 
 	// nBoxes is the number of infoboxes per language side.
 	nBoxes map[wiki.Language]int
@@ -84,10 +84,9 @@ func BuildTypeDataCtx(ctx context.Context, c *wiki.Corpus, pair wiki.LanguagePai
 		Pair: pair, TypeA: typeA, TypeB: typeB,
 		Index:   make(map[Attr]int),
 		Display: make(map[Attr]string),
-		coLang:  make(map[[2]int]int),
-		coDual:  make(map[[2]int]int),
 		nBoxes:  map[wiki.Language]int{},
 	}
+	coLang, coDual := coCounter{}, coCounter{}
 	intern := func(a Attr, display string) int {
 		if i, ok := td.Index[a]; ok {
 			return i
@@ -140,7 +139,7 @@ func BuildTypeDataCtx(ctx context.Context, c *wiki.Corpus, pair wiki.LanguagePai
 		for x := 0; x < len(boxIdx); x++ {
 			for y := x + 1; y < len(boxIdx); y++ {
 				if boxIdx[x] != boxIdx[y] {
-					td.coLang[[2]int{boxIdx[x], boxIdx[y]}]++
+					coLang.add(boxIdx[x], boxIdx[y])
 				}
 			}
 		}
@@ -185,10 +184,13 @@ func BuildTypeDataCtx(ctx context.Context, c *wiki.Corpus, pair wiki.LanguagePai
 		sort.Ints(all)
 		for x := 0; x < len(all); x++ {
 			for y := x + 1; y < len(all); y++ {
-				td.coDual[[2]int{all[x], all[y]}]++
+				coDual.add(all[x], all[y])
 			}
 		}
 	}
+
+	td.coLang = coLang.freeze(len(td.Attrs))
+	td.coDual = coDual.freeze(len(td.Attrs))
 
 	// Translated value vectors for the pair.A side.
 	translate := func(src text.TF) text.TF {
@@ -258,21 +260,11 @@ func (td *TypeData) NumInfoboxes(lang wiki.Language) int { return td.nBoxes[lang
 
 // CoOccurLang returns how many single-language infoboxes contain both
 // attributes (0 for attributes of different languages).
-func (td *TypeData) CoOccurLang(i, j int) int {
-	if i > j {
-		i, j = j, i
-	}
-	return td.coLang[[2]int{i, j}]
-}
+func (td *TypeData) CoOccurLang(i, j int) int { return td.coLang.count(i, j) }
 
 // CoOccurDual returns how many dual-language infoboxes contain both
 // attributes.
-func (td *TypeData) CoOccurDual(i, j int) int {
-	if i > j {
-		i, j = j, i
-	}
-	return td.coDual[[2]int{i, j}]
-}
+func (td *TypeData) CoOccurDual(i, j int) int { return td.coDual.count(i, j) }
 
 // VSim is the paper's value similarity: the cosine between the (A-side
 // translated) value vectors.
@@ -335,14 +327,17 @@ func (td *TypeData) Grouping(i, j int) float64 {
 	if td.Attrs[i].Lang != td.Attrs[j].Lang {
 		return 0
 	}
-	minOcc := td.occ[i]
-	if td.occ[j] < minOcc {
-		minOcc = td.occ[j]
-	}
+	return td.grouping(i, j, int32(td.CoOccurLang(i, j)))
+}
+
+// grouping is g(ai, aj) for two same-language attributes that co-occur
+// co times.
+func (td *TypeData) grouping(i, j int, co int32) float64 {
+	minOcc := min(td.occ[i], td.occ[j])
 	if minOcc == 0 {
 		return 0
 	}
-	return float64(td.CoOccurLang(i, j)) / float64(minOcc)
+	return float64(co) / float64(minOcc)
 }
 
 // CrossPairs enumerates every cross-language attribute index pair (a in

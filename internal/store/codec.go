@@ -340,13 +340,17 @@ func encodeCoCounts(e *encoder, cs []sim.CoCount) {
 	}
 }
 
+// decodeCoCounts reads a co-occurrence list and holds it to the form
+// sim.Snapshot writes, which sim.FromSnapshot reads straight into rows:
+// i < j, sorted by (i, j) without repeats, counts in [1, MaxInt32].
 func decodeCoCounts(d *decoder, limit int) []sim.CoCount {
 	n := d.count()
 	out := make([]sim.CoCount, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		c := sim.CoCount{I: d.uvarint(), J: d.uvarint(), N: d.uvarint()}
-		if d.err == nil && (c.I >= limit || c.J >= limit) {
-			d.fail(fmt.Errorf("co-occurrence index (%d,%d) out of range %d", c.I, c.J, limit))
+		if d.err == nil && (c.I >= c.J || c.J >= limit || c.N < 1 || c.N > math.MaxInt32 ||
+			i > 0 && (c.I < out[i-1].I || c.I == out[i-1].I && c.J <= out[i-1].J)) {
+			d.fail(fmt.Errorf("co-occurrence triple %d (%d,%d,%d) out of range %d or out of order", i, c.I, c.J, c.N, limit))
 			return out
 		}
 		out = append(out, c)

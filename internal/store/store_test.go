@@ -298,3 +298,27 @@ func TestFilterPairs(t *testing.T) {
 		t.Error("reject-all keep left sections behind")
 	}
 }
+
+// TestNonCanonicalCoCounts checks Read rejects, with a typed error, a
+// co-occurrence list that sim.Snapshot could not have written: a
+// repeated pair or a zero count.
+func TestNonCanonicalCoCounts(t *testing.T) {
+	for name, co := range map[string][]sim.CoCount{
+		"repeat": {{I: 0, J: 1, N: 1}, {I: 0, J: 1, N: 1}},
+		"zero":   {{I: 0, J: 1, N: 0}},
+	} {
+		snap := tinySnapshot()
+		ts := snap.Types[0].TD.Snapshot()
+		ts.CoDual = co
+		snap.Types[0].TD = sim.FromSnapshot(ts)
+		var buf bytes.Buffer
+		if err := Write(&buf, snap); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(&buf)
+		var ce *CorruptError
+		if got != nil || !errors.As(err, &ce) {
+			t.Errorf("%s: Read = %v, %v; want a CorruptError and no snapshot", name, got != nil, err)
+		}
+	}
+}
