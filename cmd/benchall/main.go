@@ -2,7 +2,9 @@
 // evaluation and prints them in the same row/series layout the paper
 // reports. Four extra experiments time the substrate: "svd" compares
 // the seed's dense-Jacobi-then-truncate decomposition against the sparse
-// subsystem over every type's occurrence matrix, "session" measures the
+// subsystem over every type's occurrence matrix in the paper corpus and
+// over the Gram-route types of the 12-edition fixture at four times its
+// entities, "session" measures the
 // serving-path speedup of a warm session (cached dictionaries and LSI
 // artifacts) over a cold one — the cmd-level twin of the
 // BenchmarkSessionWarmVsCold gate — "store" times snapshot save/load
@@ -75,6 +77,7 @@ import (
 	"repro/internal/lsi"
 	"repro/internal/protocol"
 	"repro/internal/service"
+	"repro/internal/sim"
 	"repro/internal/synth"
 	"repro/internal/wiki"
 )
@@ -340,9 +343,13 @@ func upsertTrajectory(path, pr string, doc timingDoc) error {
 }
 
 // svdTiming is one entity type's dense-vs-sparse decomposition timing.
+// Corpus is "paper" or "editions-x4"; Route is the path the sparse side
+// takes (linalg.Route).
 type svdTiming struct {
+	Corpus   string  `json:"corpus,omitempty"`
 	Pair     string  `json:"pair"`
 	Type     string  `json:"type"`
+	Route    string  `json:"route,omitempty"`
 	Rows     int     `json:"rows"`
 	Cols     int     `json:"cols"`
 	NNZ      int     `json:"nnz"`
@@ -380,38 +387,79 @@ type httpTiming struct {
 	ConcReqPerSec float64 `json:"concReqPerSec"`
 }
 
+// svdEditionsScale multiplies the entities of the 12-edition fixture
+// (synth.DefaultEditions, seed 1) for the svd experiment's second
+// corpus, the scale of perfbench's dump-matchall: there most types take
+// the Gram route on rank-deficient occurrence matrices, which the paper
+// corpus never produces.
+const svdEditionsScale = 4
+
 // measureSVD compares the seed's dense Jacobi SVD with the sparse path
 // lsi.Build uses today, per entity type, on the type's real
-// dual-occurrence matrix.
+// dual-occurrence matrix: every type of the paper corpus, then the
+// Gram-route types of the pivot pairs of the 12-edition fixture at
+// svdEditionsScale.
 func measureSVD(s *experiments.Setup) []svdTiming {
 	var out []svdTiming
 	for _, pair := range s.Pairs() {
 		for _, tc := range s.Cases(pair) {
-			_, index := lsi.IndexAttrs(tc.TD.Duals, tc.TD.Attrs...)
-			sp := lsi.OccurrenceMatrix(tc.TD.Duals, index)
-			dense := sp.Dense()
-			denseT := timeIt(func() { linalg.TruncatedSVD(dense, lsi.DefaultRank) })
-			sparseT := timeIt(func() { linalg.SparseTruncatedSVD(sp, lsi.DefaultRank) })
-			out = append(out, svdTiming{
-				Pair: pair.String(), Type: tc.Canon,
-				Rows: sp.Rows, Cols: sp.Cols, NNZ: sp.NNZ(),
-				DenseNS: int64(denseT), SparseNS: int64(sparseT),
-				Speedup: float64(denseT) / float64(sparseT),
-			})
+			out = append(out, timeSVD("paper", pair, tc.Canon, occurrence(tc.TD)))
+		}
+	}
+	ec := synth.DefaultEditions()
+	ec.EntitiesPerType *= svdEditionsScale
+	ec.Seed = 1
+	c, _, err := synth.Editions(ec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "editions:", err)
+		os.Exit(1)
+	}
+	corpus := fmt.Sprintf("editions-x%d", svdEditionsScale)
+	for _, pair := range wiki.HubPairs(c.Languages(), ec.Hub) {
+		d := dict.Build(c, pair.A, pair.B)
+		for _, tp := range core.MatchEntityTypes(c, pair) {
+			sp := occurrence(sim.BuildTypeData(c, pair, tp[0], tp[1], d))
+			if linalg.Route(sp, lsi.DefaultRank) == "gram" {
+				out = append(out, timeSVD(corpus, pair, tp[0], sp))
+			}
 		}
 	}
 	return out
 }
 
+// occurrence is the type's LSI occurrence matrix, as lsi.Build makes it.
+func occurrence(td *sim.TypeData) *linalg.Sparse {
+	_, index := lsi.IndexAttrs(td.Duals, td.Attrs...)
+	return lsi.OccurrenceMatrix(td.Duals, index)
+}
+
+// timeSVD times one occurrence matrix both ways.
+func timeSVD(corpus string, pair wiki.LanguagePair, typ string, sp *linalg.Sparse) svdTiming {
+	dense := sp.Dense()
+	denseT := timeIt(func() { linalg.TruncatedSVD(dense, lsi.DefaultRank) })
+	sparseT := timeIt(func() { linalg.SparseTruncatedSVD(sp, lsi.DefaultRank) })
+	return svdTiming{
+		Corpus: corpus, Pair: pair.String(), Type: typ, Route: linalg.Route(sp, lsi.DefaultRank),
+		Rows: sp.Rows, Cols: sp.Cols, NNZ: sp.NNZ(),
+		DenseNS: int64(denseT), SparseNS: int64(sparseT),
+		Speedup: float64(denseT) / float64(sparseT),
+	}
+}
+
 func renderSVDTimings(rows []svdTiming) {
-	fmt.Printf("%-6s %-22s %10s %9s %12s %12s %8s\n",
-		"pair", "type", "matrix", "nnz", "dense-jacobi", "sparse-auto", "speedup")
+	fmt.Printf("%-11s %-13s %-22s %-10s %10s %9s %12s %12s %8s\n",
+		"corpus", "pair", "type", "route", "matrix", "nnz", "dense-jacobi", "sparse-auto", "speedup")
+	var dense, sparse time.Duration
 	for _, r := range rows {
-		fmt.Printf("%-6s %-22s %4d×%-5d %9d %12s %12s %7.1fx\n",
-			r.Pair, r.Type, r.Rows, r.Cols, r.NNZ,
+		fmt.Printf("%-11s %-13s %-22s %-10s %4d×%-5d %9d %12s %12s %7.1fx\n",
+			r.Corpus, r.Pair, r.Type, r.Route, r.Rows, r.Cols, r.NNZ,
 			time.Duration(r.DenseNS).Round(time.Microsecond),
 			time.Duration(r.SparseNS).Round(time.Microsecond), r.Speedup)
+		dense += time.Duration(r.DenseNS)
+		sparse += time.Duration(r.SparseNS)
 	}
+	fmt.Printf("%-11s %-13s %-22s %-10s %10s %9s %12s %12s\n",
+		"total", "", "", "", "", "", dense.Round(time.Microsecond), sparse.Round(time.Microsecond))
 }
 
 // measureSession measures the artifact cache's serving-path win: per

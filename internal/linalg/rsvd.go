@@ -51,8 +51,11 @@ const exactSVDCutoff = 4096
 
 // gramExactCutoff is the small-side dimension up to which the exact
 // Gram-eigendecomposition path is used instead of the randomized
-// iteration: one Jacobi sweep on an s×s dense Gram matrix costs O(s⁴)
-// overall, so it wins below roughly a hundred rows and loses after.
+// iteration. One Jacobi sweep on the s×s dense Gram matrix costs O(s³)
+// (s²/2 column pairs at O(s) each), and with negligible columns
+// deflated a run takes at most about 20 sweeps, rank-deficient Gram
+// matrices included, so the exact solve wins below roughly a hundred
+// rows and loses after.
 const gramExactCutoff = 80
 
 // SparseTruncatedSVD computes the rank-k truncated SVD of a sparse
@@ -77,12 +80,13 @@ func SparseTruncatedSVDOpts(a *Sparse, k int, opt RSVDOptions) *SVD {
 	}
 }
 
-type svdRoute int
+// svdRoute names one of SparseTruncatedSVD's decomposition paths.
+type svdRoute string
 
 const (
-	routeDense svdRoute = iota
-	routeGram
-	routeRandomized
+	routeDense      svdRoute = "dense"
+	routeGram       svdRoute = "gram"
+	routeRandomized svdRoute = "randomized"
 )
 
 // routeFor picks the decomposition path by shape.
@@ -104,11 +108,12 @@ func routeFor(a *Sparse, k int, opt RSVDOptions) svdRoute {
 	return routeRandomized
 }
 
-// RoutesToRandomized reports whether SparseTruncatedSVD would take the
-// randomized path for this matrix and rank — exposed so tests that
-// claim to validate the randomized path can assert it actually runs.
-func RoutesToRandomized(a *Sparse, k int) bool {
-	return routeFor(a, k, RSVDOptions{}.withDefaults()) == routeRandomized
+// Route names the path SparseTruncatedSVD takes for this matrix and
+// rank: "dense", "gram" or "randomized". It is exposed so tests that
+// claim to validate a path can assert it actually runs, and so timings
+// can be grouped by path.
+func Route(a *Sparse, k int) string {
+	return string(routeFor(a, k, RSVDOptions{}.withDefaults()))
 }
 
 // GramSVD computes the rank-k truncated SVD exactly through the

@@ -60,19 +60,28 @@ func ComputeSVD(a *Matrix) *SVD {
 	if transposed {
 		work = a.Transpose()
 	}
-	u, s, v := jacobiSVD(work)
+	u, s, v, _ := jacobiSVD(work)
 	if transposed {
 		u, v = v, u
 	}
 	return &SVD{U: u, S: s, V: v}
 }
 
+// jacobiDeflate is δ of jacobiSVD's negligible-column test: a column
+// whose squared norm is at most δ·‖A‖²_F is numerically null and takes
+// part in no further rotation, as in LAPACK's one-sided Jacobi (xGESVJ).
+// Without it a rank-deficient input never converges: every sweep rotates
+// the null columns against the rest while their norms decay through the
+// subnormal range, and the loop runs to its sweep cap.
+const jacobiDeflate = 0x1p-400
+
 // jacobiSVD decomposes a tall matrix (rows ≥ cols) via one-sided Jacobi
 // rotations: it repeatedly rotates pairs of columns of B (a working copy
-// of A) until all pairs are numerically orthogonal. The right factor V
-// accumulates the rotations; singular values are the column norms of the
-// converged B and U its normalized columns.
-func jacobiSVD(a *Matrix) (u *Matrix, s []float64, v *Matrix) {
+// of A) until all pairs are numerically orthogonal or negligible. The
+// right factor V accumulates the rotations; singular values are the
+// column norms of the converged B and U its normalized columns. sweeps
+// counts the passes over all column pairs, the last one rotating none.
+func jacobiSVD(a *Matrix) (u *Matrix, s []float64, v *Matrix, sweeps int) {
 	m, n := a.Rows, a.Cols
 	b := a.Clone()
 	v = NewMatrix(n, n)
@@ -83,7 +92,14 @@ func jacobiSVD(a *Matrix) (u *Matrix, s []float64, v *Matrix) {
 		eps       = 1e-12
 		maxSweeps = 60
 	)
-	for sweep := 0; sweep < maxSweeps; sweep++ {
+	// Rotations preserve ‖B‖_F, so the negligible threshold is fixed.
+	var frob float64
+	for _, x := range a.Data {
+		frob += x * x
+	}
+	null := jacobiDeflate * frob
+	for sweeps < maxSweeps {
+		sweeps++
 		rotated := false
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
@@ -94,7 +110,7 @@ func jacobiSVD(a *Matrix) (u *Matrix, s []float64, v *Matrix) {
 					beta += bq * bq
 					gamma += bp * bq
 				}
-				if math.Abs(gamma) <= eps*math.Sqrt(alpha*beta) || gamma == 0 {
+				if alpha <= null || beta <= null || math.Abs(gamma) <= eps*math.Sqrt(alpha*beta) || gamma == 0 {
 					continue
 				}
 				rotated = true
@@ -152,7 +168,7 @@ func jacobiSVD(a *Matrix) (u *Matrix, s []float64, v *Matrix) {
 			sortedV.Data[r*n+newJ] = v.Data[r*n+oldJ]
 		}
 	}
-	return sortedU, sortedS, sortedV
+	return sortedU, sortedS, sortedV, sweeps
 }
 
 // TruncatedSVD computes the rank-k truncated SVD of a.

@@ -243,7 +243,7 @@ func TestBuildRandomizedMatchesExactSVD(t *testing.T) {
 	// raising linalg's cutoffs) would silently turn the comparison into
 	// exact-vs-exact and the randomized path would go unvalidated.
 	_, index := IndexAttrs(duals)
-	if occ := OccurrenceMatrix(duals, index); !linalg.RoutesToRandomized(occ, DefaultRank) {
+	if occ := OccurrenceMatrix(duals, index); linalg.Route(occ, DefaultRank) != "randomized" {
 		t.Fatalf("test corpus (%d×%d occurrence matrix) does not route to the randomized path",
 			occ.Rows, occ.Cols)
 	}

@@ -13,6 +13,7 @@ package text
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // foldTable maps accented Latin letters (as used by Portuguese and
@@ -41,8 +42,12 @@ var foldTable = map[rune]rune{
 }
 
 // FoldDiacritics replaces accented Latin letters with their base ASCII
-// letters. Unknown runes pass through unchanged.
+// letters. Unknown runes pass through unchanged. ASCII input has nothing
+// to fold and is returned as is.
 func FoldDiacritics(s string) string {
+	if isASCII(s) {
+		return s
+	}
 	var b strings.Builder
 	b.Grow(len(s))
 	for _, r := range s {
@@ -63,7 +68,35 @@ func FoldDiacritics(s string) string {
 func Normalize(s string) string {
 	s = strings.ToLower(s)
 	s = FoldDiacritics(s)
+	if collapsed(s) {
+		return s
+	}
 	return strings.Join(strings.Fields(s), " ")
+}
+
+// isASCII reports whether every byte of s is below utf8.RuneSelf.
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// collapsed reports whether s already equals
+// strings.Join(strings.Fields(s), " "): its only whitespace is single
+// ' ' runes, each between two non-space runes.
+func collapsed(s string) bool {
+	afterSpace := true // the start of s counts as a space boundary
+	for _, r := range s {
+		space := unicode.IsSpace(r)
+		if space && (r != ' ' || afterSpace) {
+			return false
+		}
+		afterSpace = space
+	}
+	return !afterSpace || s == ""
 }
 
 // NormalizeKeepAccents lowercases and collapses whitespace but keeps
