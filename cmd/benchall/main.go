@@ -4,11 +4,10 @@
 // the seed's dense-Jacobi-then-truncate decomposition against the sparse
 // subsystem over every type's occurrence matrix in the paper corpus and
 // over the Gram-route types of the 12-edition fixture at four times its
-// entities, "session" measures the
-// serving-path speedup of a warm session (cached dictionaries and LSI
-// artifacts) over a cold one — the cmd-level twin of the
-// BenchmarkSessionWarmVsCold gate — "store" times snapshot save/load
-// against a cold artifact build, the cmd-level twin of
+// entities, "session" measures the serving-path speedup of a warm
+// session (cached dictionaries and LSI artifacts) over a cold one — the
+// cmd-level twin of the BenchmarkSessionWarmVsCold gate — "store" times
+// snapshot save/load against a cold artifact build, the cmd-level twin of
 // BenchmarkStoreRestoreVsCold — and "http" drives a real wikimatchd
 // handler over wire protocol v1 through the client SDK, reporting warm
 // unary latency and request throughput. "timings" runs all four.
